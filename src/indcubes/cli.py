@@ -35,22 +35,13 @@ def _parse_patterns(csv: str) -> list[str]:
 def render_table(family: str, h: int, n_max: int, per_k: bool) -> str:
     """TSV of totals and poset edge counts for n = 0..n_max, with optional
     per-size columns."""
-    is_path = family == "path"
-    seq = counting.hfib(h, n_max)
+    count_k = counting.path_count_k if family == "path" else counting.cycle_count_k
     k_cols = (n_max + h) // (h + 1) + 1 if per_k else 0
     header = ["n", "total", "edges"] + [f"k{k}" for k in range(k_cols)]
     lines = ["\t".join(header)]
-    for n in range(n_max + 1):
-        if is_path:
-            total = counting.path_count_rec(n, h)
-            edges = counting.convolve_self(seq, n)
-        else:
-            total = counting.cycle_count_rec(n, h)
-            edges = counting.cycle_hasse_edges_closed(n, h)
+    for n, (total, edges) in zip(range(n_max + 1), counting._rows(family, h)):
         row = [str(n), str(total), str(edges)]
-        if per_k:
-            count_k = counting.path_count_k if is_path else counting.cycle_count_k
-            row += [str(count_k(n, h, k)) for k in range(k_cols)]
+        row += [str(count_k(n, h, k)) for k in range(k_cols)]
         lines.append("\t".join(row))
     return "\n".join(lines)
 
@@ -58,17 +49,13 @@ def render_table(family: str, h: int, n_max: int, per_k: bool) -> str:
 def render_seq(kind: str, h: int, count: int) -> str:
     """One decimal term per line; all kinds start at index 1."""
     if kind == "hfib":
-        terms = counting.hfib(h, count).terms
-    elif kind == "p":
-        terms = [counting.path_count_rec(n, h) for n in range(1, count + 1)]
-    elif kind == "q":
-        terms = [counting.cycle_count_rec(n, h) for n in range(1, count + 1)]
-    elif kind == "hedges":
-        seq = counting.hfib(h, count)
-        terms = [counting.convolve_self(seq, n) for n in range(1, count + 1)]
-    else:  # medges
-        terms = [counting.cycle_hasse_edges_closed(n, h) for n in range(1, count + 1)]
-    return "\n".join(str(t) for t in terms)
+        terms = counting._hfib_terms(h)
+    else:
+        rows = counting._rows("path" if kind in ("p", "hedges") else "cycle", h)
+        next(rows)  # index 0
+        column = 0 if kind in ("p", "q") else 1
+        terms = (row[column] for row in rows)
+    return "\n".join(str(t) for _, t in zip(range(count), terms))
 
 
 def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int, int]]]:
@@ -179,6 +166,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if text:
                 print(text)
         elif args.command == "verify":
+            cap = cubes.MAX_CUBE_ORDER
+            if args.n_max_oracle > cap:
+                parser.error(f"--n-max-oracle {args.n_max_oracle} exceeds the cube cap of {cap}")
             report = verify.run_all(args.h_max, args.n_max_formula, args.n_max_oracle)
             if args.json:
                 print(json.dumps(report.to_dict(), indent=2))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from .graphs import VertexSubset, is_independent, power_path
 
@@ -60,10 +60,30 @@ def path_count_clamped(n: int, h: int) -> int:
     return path_count(max(n, 0), h)
 
 
-# Explicit memo tables keyed by (n, h); filled bottom-up so a first call at
-# large n neither recurses deeply nor repeats work on later calls.
-_PATH_REC: dict[tuple[int, int], int] = {}
-_CYCLE_REC: dict[tuple[int, int], int] = {}
+def _recurrence(h: int, head: Sequence[int], addends: Iterator[int] | None = None) -> Iterator[int]:
+    """Yield `head` (at least h + 1 terms), then a(m) = a(m-1) + a(m-h-1),
+    plus the next of `addends` if given, forever.
+
+    Only the last h + 1 terms are kept, in a ring whose slot i holds the
+    oldest one, a(m-h-1), and slot i - 1 the newest, a(m-1).
+    """
+    window = list(head[-h - 1 :])
+    yield from head
+    i = 0
+    while True:
+        term = window[i - 1] + window[i]
+        if addends is not None:
+            term += next(addends)
+        window[i] = term
+        i = i + 1 if i < h else 0
+        yield term
+
+
+def _nth(terms: Iterator[Any], index: int) -> Any:
+    """Term `index` (0-based) of an endless iterator."""
+    for _, term in zip(range(index + 1), terms):
+        pass
+    return term
 
 
 def path_count_rec(n: int, h: int) -> int:
@@ -71,15 +91,7 @@ def path_count_rec(n: int, h: int) -> int:
     then each value is the sum of the values 1 and h + 1 steps back."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    key = (n, h)
-    if key not in _PATH_REC:
-        for m in range(n + 1):
-            if (m, h) not in _PATH_REC:
-                if m <= h + 1:
-                    _PATH_REC[(m, h)] = m + 1
-                else:
-                    _PATH_REC[(m, h)] = _PATH_REC[(m - 1, h)] + _PATH_REC[(m - h - 1, h)]
-    return _PATH_REC[key]
+    return _nth(_recurrence(h, range(1, h + 3)), n)
 
 
 def cycle_count_rec(n: int, h: int) -> int:
@@ -87,15 +99,7 @@ def cycle_count_rec(n: int, h: int) -> int:
     then the same two-term recurrence as the path case."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    key = (n, h)
-    if key not in _CYCLE_REC:
-        for m in range(n + 1):
-            if (m, h) not in _CYCLE_REC:
-                if m <= 2 * h + 1:
-                    _CYCLE_REC[(m, h)] = m + 1
-                else:
-                    _CYCLE_REC[(m, h)] = _CYCLE_REC[(m - 1, h)] + _CYCLE_REC[(m - h - 1, h)]
-    return _CYCLE_REC[key]
+    return _nth(_recurrence(h, range(1, 2 * h + 3)), n)
 
 
 def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
@@ -180,23 +184,16 @@ class HFibSequence:
         return len(self.terms)
 
 
-# Growing per-h prefix so repeated hfib/closed-form calls stay linear.
-_HFIB: dict[int, list[int]] = {}
-
-
-def _hfib_prefix(h: int, length: int) -> list[int]:
-    terms = _HFIB.setdefault(h, [])
-    while len(terms) < length:
-        i = len(terms) + 1
-        terms.append(1 if i <= h + 1 else terms[i - 2] + terms[i - h - 2])
-    return terms
+def _hfib_terms(h: int) -> Iterator[int]:
+    """The endless order-h sequence t_1, t_2, ...: h + 1 ones, then the recurrence."""
+    return _recurrence(h, [1] * (h + 1))
 
 
 def hfib(h: int, length: int) -> HFibSequence:
     """First `length` terms of the order-h sequence (1-based)."""
     if h < 0 or length < 0:
         raise ValueError("h and length must be nonnegative")
-    return HFibSequence(h, tuple(_hfib_prefix(h, length)[:length]))
+    return HFibSequence(h, tuple(t for _, t in zip(range(length), _hfib_terms(h))))
 
 
 def convolve_self(seq: HFibSequence, n: int) -> int:
@@ -269,6 +266,21 @@ def cycle_hasse_edges(n: int, h: int) -> int:
         k += 1
 
 
+def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
+    """(total, cover edges) for n = 0, 1, 2, ... in one pass, from the
+    recurrences alone. Path edges follow e(n) = e(n-1) + e(n-h-1) + t_n with
+    e(m) = 0 for m <= 0, t the order-h sequence; cycle edges are n * t_(n-h)."""
+    t = _hfib_terms(h)
+    if family == "path":
+        edges = _recurrence(h, [0] * (h + 1), t)  # starts at e(-h)
+        for _ in range(h):
+            next(edges)
+        yield from zip(_recurrence(h, range(1, h + 3)), edges)
+    else:
+        for n, total in enumerate(_recurrence(h, range(1, 2 * h + 3))):
+            yield total, n if n <= h else n * next(t)
+
+
 def cycle_hasse_edges_closed(n: int, h: int) -> int:
     """Closed form for the cycle cover-edge count: n times the order-h
     sequence term at n - h.
@@ -279,11 +291,7 @@ def cycle_hasse_edges_closed(n: int, h: int) -> int:
     """
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    if n == 0:
-        return 0
-    if n <= h:
-        return n
-    return n * _hfib_prefix(h, n - h)[n - h - 1]
+    return _nth(_rows("cycle", h), n)[1]
 
 
 def fibonacci(n: int) -> int:

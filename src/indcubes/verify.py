@@ -390,14 +390,14 @@ def check_cycle_recurrence(h_max: int, n_max: int) -> str | None:
 
 
 def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
-    """Weighted-sum and self-convolution path edge counts agree."""
+    """Weighted-sum, self-convolution and linear-recurrence (the column that
+    `table` and `seq` print) path edge counts agree."""
     for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            if counting.path_hasse_edges(n, h) != counting.path_hasse_edges_conv(n, h):
-                return (
-                    f"n={n} h={h}: sum {counting.path_hasse_edges(n, h)} != "
-                    f"conv {counting.path_hasse_edges_conv(n, h)}"
-                )
+        for n, (_, linear) in zip(range(n_max + 1), counting._rows("path", h)):
+            by_sum = counting.path_hasse_edges(n, h)
+            by_conv = counting.path_hasse_edges_conv(n, h)
+            if not by_sum == by_conv == linear:
+                return f"n={n} h={h}: sum {by_sum}, conv {by_conv}, linear {linear}"
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -101,6 +102,18 @@ class TestSeq:
         assert code == 0
         assert out == "2\n3\n4\n7\n11\n18\n29\n"
 
+    def test_over_digit_limit_prints_nothing(self, capsys):
+        # Output is all or nothing: 2^2199 has 663 digits, past a 640 limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "seq", "--kind", "hfib", "--h", "0", "--count", "2200")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unknown_kind_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["seq", "--kind", "primes", "--h", "1", "--count", "3"])
@@ -126,6 +139,13 @@ class TestVerifyCommand:
         assert {"boolean-lattice-counts", "path-oracle-agreement"} <= {
             c["name"] for c in report["checks"]
         }
+
+    def test_oracle_bound_over_cube_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max-oracle", "21"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n-max-oracle 21" in err and "cap of 20" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         real = counting.binom

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -297,3 +298,31 @@ class TestClassicSequences:
                     assert counting.path_count_k(n, h, k) == counting.path_count_k(
                         n - k + 1, h - 1, k
                     )
+
+
+class TestRecurrenceRows:
+    """The one-pass rows that `table` and `seq` print, against the closed sums."""
+
+    @pytest.mark.parametrize("h", range(0, 7))
+    def test_path_rows(self, h):
+        rows = counting._rows("path", h)
+        for n in range(301):
+            assert next(rows) == (counting.path_count(n, h), counting.path_hasse_edges(n, h))
+
+    @pytest.mark.parametrize("h", range(0, 7))
+    def test_cycle_rows(self, h):
+        rows = counting._rows("cycle", h)
+        for n in range(301):
+            assert next(rows) == (counting.cycle_count(n, h), counting.cycle_hasse_edges(n, h))
+
+    def test_no_retained_memory(self):
+        # Nothing outlives a call: no cache keeps the big integers it made.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counting.path_count_rec(20000, 1)
+            counting.hfib(1, 20000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
