@@ -70,7 +70,7 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int,
         diagram = cubes.hasse_diagram(g)
         labels = [s.to_string() for s in diagram.nodes()]
         index = {s.bits: i + 1 for i, s in enumerate(diagram.nodes())}
-        edges = sorted((index[a.bits], index[b.bits]) for a, b in diagram.covers)
+        edges = [(index[a.bits], index[b.bits]) for a, b in diagram.covers]
         return labels, edges
     if args.what != "graph":
         raise ValueError(f"--what hasse applies to path/cycle, not {family}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from .graphs import VertexSubset, is_independent, power_path
+from .graphs import VertexSubset
 
 
 def binom(m: int, k: int) -> int:
@@ -127,14 +127,18 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
 def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
     """Map an independent subset of the path power back to packed indices.
 
-    Rejects subsets that are not independent; on independent input the j-th
+    Rejects subsets that are not independent (two members at most h apart);
+    on independent input the j-th
     vertex shifted down by (j-1)*h lands strictly increasing in 1..n-h*k+h.
     """
     if s.n != n:
         raise ValueError(f"subset width {s.n} != n={n}")
-    if not is_independent(power_path(n, h), s):
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    vertices = s.vertices()
+    if any(b - a <= h for a, b in zip(vertices, vertices[1:])):
         raise ValueError("subset is not independent in the path power")
-    return [v - j * h for j, v in enumerate(s.vertices())]
+    return [v - j * h for j, v in enumerate(vertices)]
 
 
 def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:

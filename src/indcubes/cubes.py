@@ -16,6 +16,7 @@ from .graphs import (
     CapacityError,
     SimpleGraph,
     VertexSubset,
+    _canonical,
     contains_pattern,
     enumerate_independent,
 )
@@ -30,7 +31,8 @@ class PosetDiagram:
     """Hasse diagram of independent subsets ordered by inclusion.
 
     levels[k] holds the size-k subsets in canonical order; covers are the
-    ordered pairs (smaller, larger) with the larger one element bigger.
+    ordered pairs (smaller, larger) with the larger one element bigger,
+    sorted by the smaller's canonical position, then the larger's mask.
     """
 
     n: int
@@ -54,7 +56,8 @@ def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
     """Diagram of the independent subsets of g ordered by inclusion.
 
     Covers are exactly the pairs (s, s + v): adding one non-conflicting
-    vertex to an independent set is the only way to go up one level.
+    vertex to an independent set is the only way to go up one level. Taking
+    s in canonical order and v upward yields them already sorted.
     """
     if g.n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={g.n} exceeds the diagram cap of {MAX_CUBE_ORDER}")
@@ -68,7 +71,6 @@ def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
         for v in range(g.n):
             if not ((s.bits >> v) & 1) and not (g.adj[v] & s.bits):
                 covers.append((s, VertexSubset(s.bits | (1 << v), g.n)))
-    covers.sort(key=lambda pair: (pair[0].cardinality, pair[0].bits, pair[1].bits))
     return PosetDiagram(g.n, tuple(tuple(level) for level in levels), tuple(covers))
 
 
@@ -90,11 +92,6 @@ def _check_cube_order(n: int) -> None:
         raise ValueError("n must be nonnegative")
     if n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
-
-
-def _canonical(masks: list[int], n: int) -> list[VertexSubset]:
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return [VertexSubset(m, n) for m in masks]
 
 
 def _hamming_cube(vertices: Sequence[VertexSubset]) -> SimpleGraph:

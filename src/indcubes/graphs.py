@@ -204,8 +204,13 @@ def enumerate_independent(g: SimpleGraph) -> list[VertexSubset]:
                 extend(v + 1, chosen | (1 << v))
 
     extend(0, 0)
-    found.sort(key=lambda m: (m.bit_count(), m))
-    return [VertexSubset(m, n) for m in found]
+    return _canonical(found, n)
+
+
+def _canonical(masks: list[int], n: int) -> list[VertexSubset]:
+    """Sort the masks in place by (cardinality, mask value) and wrap them."""
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return [VertexSubset(m, n) for m in masks]
 
 
 def hamming(a: VertexSubset, b: VertexSubset) -> int:

@@ -193,8 +193,8 @@ def check_containing_column_sum(h_max: int, n_max: int) -> str | None:
 def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
     """Subsets -> indices -> subsets and indices -> subsets -> indices are
     both the identity, and every forward image is independent."""
-    for h in range(min(h_max, 3) + 1):
-        for n in range(min(n_max, 14) + 1):
+    for h in range(h_max + 1):
+        for n in range(n_max + 1):
             g = graphs.power_path(n, h)
             for s in graphs.enumerate_independent(g):
                 idx = counting.subset_to_indices(n, h, s)
@@ -266,7 +266,7 @@ def check_fibonacci_cube(h_max: int, n_max: int) -> str | None:
     diagrams under the string encoding."""
     if h_max < 1:
         return None
-    for n in range(min(n_max, 14) + 1):
+    for n in range(n_max + 1):
         strings = cubes.fibonacci_strings(n)
         cube = cubes.fibonacci_cube(n)
         if cube.n != counting.fibonacci(n + 2):
@@ -289,7 +289,7 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
     diagrams under the string encoding, for n >= 2."""
     if h_max < 1:
         return None
-    for n in range(2, min(n_max, 14) + 1):
+    for n in range(2, n_max + 1):
         strings = cubes.lucas_strings(n)
         cube = cubes.lucas_cube(n)
         if cube.n != counting.lucas(n):
@@ -306,12 +306,10 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
 
 def check_pattern_cubes(h_max: int, n_max: int) -> str | None:
     """Avoiding the h-power pattern set linearly (circularly) yields exactly
-    the independence strings of the path (cycle) power, for h = 2, 3."""
-    for h in (2, 3):
-        if h > h_max:
-            continue
+    the independence strings of the path (cycle) power, for 2 <= h <= h_max."""
+    for h in range(2, h_max + 1):
         patterns = cubes.power_patterns(h)
-        for n in range(min(n_max, 14) + 1):
+        for n in range(n_max + 1):
             for cyclic in (False, True):
                 g = graphs.power_cycle(n, h) if cyclic else graphs.power_path(n, h)
                 want = [s.to_string() for s in graphs.enumerate_independent(g)]
@@ -326,7 +324,7 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
     gives the Lucas cube for n >= 2."""
     if h_max < 1:
         return None
-    for n in range(min(n_max, 14) + 1):
+    for n in range(n_max + 1):
         lin = [s.to_string() for s in cubes.avoiding_strings(n, ["11"], circular=False)]
         fib = [s.to_string() for s in cubes.fibonacci_strings(n)]
         if lin != fib:
@@ -352,7 +350,7 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
     Hamming-1 adjacency coincides with the diagram covers."""
     if h_max < 1:
         return None
-    for n in range(min(n_max, 14) + 1):
+    for n in range(n_max + 1):
         strings = cubes.fibonacci_strings(n)
         cube = cubes.fibonacci_cube(n)
         for i, j in cube.edges():
@@ -432,8 +430,8 @@ def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
 
 def check_order_reduction(h_max: int, n_max: int) -> str | None:
     """Per-size path counts drop one power order when n shrinks by k - 1."""
-    for h in range(1, min(h_max, 6) + 1):
-        for n in range(min(n_max, 50) + 1):
+    for h in range(1, h_max + 1):
+        for n in range(n_max + 1):
             for k in range(n + 1):
                 lhs = counting.path_count_k(n, h, k)
                 rhs = counting.path_count_k(n - k + 1, h - 1, k)
@@ -498,76 +496,71 @@ def check_divisibility(h_max: int, n_max: int) -> str | None:
     return None
 
 
-# Registry: (name, which bound the sweep uses, check function). Order is the
-# report order and must stay deterministic.
-_ORACLE = "oracle"
-_FORMULA = "formula"
-
+# Registry: (name, bounds, check function). bounds maps the requested h_max,
+# n_max_formula and n_max_oracle (h, f, o) to the (h_max, n_max) passed to the
+# check, applying the check's own limits: the order-1 cube checks test h = 1
+# only, and the cube, bijection and order-reduction sweeps keep their
+# documented ranges whatever is requested. Order is the report order and must
+# stay deterministic.
 CHECKS = (
-    ("path-oracle-agreement", _ORACLE, check_path_oracle),
-    ("cycle-oracle-agreement", _ORACLE, check_cycle_oracle),
-    ("path-subgraph-of-cycle", _ORACLE, check_path_subgraph_of_cycle),
-    ("cycle-degree-regular", _ORACLE, check_cycle_regularity),
-    ("enumeration-order-strict", _ORACLE, check_enumeration_order),
-    ("independence-matches-enumeration", _ORACLE, check_membership_equivalence),
-    ("containing-vertex-row-sum", _ORACLE, check_containing_row_sum),
-    ("containing-vertex-column-sum", _ORACLE, check_containing_column_sum),
-    ("bijection-roundtrip", _ORACLE, check_bijection_roundtrip),
-    ("hasse-cover-grading", _ORACLE, check_hasse_grading),
-    ("path-cover-counts", _ORACLE, check_path_cover_counts),
-    ("cycle-cover-counts", _ORACLE, check_cycle_cover_counts),
-    ("fibonacci-cube-structure", _ORACLE, check_fibonacci_cube),
-    ("lucas-cube-structure", _ORACLE, check_lucas_cube),
-    ("pattern-cube-identity", _ORACLE, check_pattern_cubes),
-    ("single-pattern-cube-identity", _ORACLE, check_single_pattern_cubes),
-    ("cube-edges-comparable", _ORACLE, check_cube_edges_comparable),
-    ("path-recurrence-agreement", _FORMULA, check_path_recurrence),
-    ("cycle-recurrence-agreement", _FORMULA, check_cycle_recurrence),
-    ("edge-convolution-agreement", _FORMULA, check_convolution_agreement),
-    ("edge-closed-form-agreement", _FORMULA, check_closed_form_agreement),
-    ("hfib-prefix-structure", _FORMULA, check_hfib_prefix),
-    ("order-reduction-identity", _FORMULA, check_order_reduction),
-    ("cycle-decomposition-identity", _FORMULA, check_cycle_decomposition),
-    ("classic-sequence-identities", _FORMULA, check_classic_identities),
-    ("boolean-lattice-counts", _FORMULA, check_boolean_lattice),
-    ("divisibility", _FORMULA, check_divisibility),
+    ("path-oracle-agreement", lambda h, f, o: (h, o), check_path_oracle),
+    ("cycle-oracle-agreement", lambda h, f, o: (h, o), check_cycle_oracle),
+    ("path-subgraph-of-cycle", lambda h, f, o: (h, o), check_path_subgraph_of_cycle),
+    ("cycle-degree-regular", lambda h, f, o: (h, o), check_cycle_regularity),
+    ("enumeration-order-strict", lambda h, f, o: (h, o), check_enumeration_order),
+    ("independence-matches-enumeration", lambda h, f, o: (h, o), check_membership_equivalence),
+    ("containing-vertex-row-sum", lambda h, f, o: (h, o), check_containing_row_sum),
+    ("containing-vertex-column-sum", lambda h, f, o: (h, o), check_containing_column_sum),
+    ("bijection-roundtrip", lambda h, f, o: (min(h, 3), min(o, 14)), check_bijection_roundtrip),
+    ("hasse-cover-grading", lambda h, f, o: (h, o), check_hasse_grading),
+    ("path-cover-counts", lambda h, f, o: (h, o), check_path_cover_counts),
+    ("cycle-cover-counts", lambda h, f, o: (h, o), check_cycle_cover_counts),
+    ("fibonacci-cube-structure", lambda h, f, o: (min(h, 1), min(o, 14)), check_fibonacci_cube),
+    ("lucas-cube-structure", lambda h, f, o: (min(h, 1), min(o, 14)), check_lucas_cube),
+    ("pattern-cube-identity", lambda h, f, o: (min(h, 3), min(o, 14)), check_pattern_cubes),
+    (
+        "single-pattern-cube-identity",
+        lambda h, f, o: (min(h, 1), min(o, 14)),
+        check_single_pattern_cubes,
+    ),
+    ("cube-edges-comparable", lambda h, f, o: (min(h, 1), min(o, 14)), check_cube_edges_comparable),
+    ("path-recurrence-agreement", lambda h, f, o: (h, f), check_path_recurrence),
+    ("cycle-recurrence-agreement", lambda h, f, o: (h, f), check_cycle_recurrence),
+    ("edge-convolution-agreement", lambda h, f, o: (h, f), check_convolution_agreement),
+    ("edge-closed-form-agreement", lambda h, f, o: (h, f), check_closed_form_agreement),
+    ("hfib-prefix-structure", lambda h, f, o: (h, f), check_hfib_prefix),
+    ("order-reduction-identity", lambda h, f, o: (min(h, 6), min(f, 50)), check_order_reduction),
+    ("cycle-decomposition-identity", lambda h, f, o: (h, f), check_cycle_decomposition),
+    ("classic-sequence-identities", lambda h, f, o: (h, f), check_classic_identities),
+    ("boolean-lattice-counts", lambda h, f, o: (h, f), check_boolean_lattice),
+    ("divisibility", lambda h, f, o: (h, 2 * f), check_divisibility),
 )
 
 
-# Checks whose documented range is narrower than the requested sweep; the
-# report shows the effective (intersected) bounds.
-_PINS: dict[str, tuple[int, int]] = {
-    "bijection-roundtrip": (3, 14),
-    "order-reduction-identity": (6, 50),
-    "fibonacci-cube-structure": (1, 14),
-    "lucas-cube-structure": (1, 14),
-    "pattern-cube-identity": (3, 14),
-    "single-pattern-cube-identity": (1, 14),
-    "cube-edges-comparable": (1, 14),
-}
-
-
 def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) -> VerificationReport:
-    """Run every check; oracle-scale sweeps use n_max_oracle, formula-scale
-    sweeps use n_max_formula (divisibility doubles it, matching its wider
-    documented range)."""
+    """Run every check over the bounds its CHECKS row derives from the
+    requested ones; each report line shows exactly the bounds its check swept.
+
+    Negative bounds raise ValueError, and an n_max_oracle above the cube cap
+    raises CapacityError, before any check runs.
+    """
+    if min(h_max, n_max_formula, n_max_oracle) < 0:
+        raise ValueError("h_max, n_max_formula and n_max_oracle must be nonnegative")
+    if n_max_oracle > cubes.MAX_CUBE_ORDER:
+        raise graphs.CapacityError(
+            f"n_max_oracle={n_max_oracle} exceeds the cube cap of {cubes.MAX_CUBE_ORDER}"
+        )
     results = []
-    for name, scale, fn in CHECKS:
-        if name == "divisibility":
-            n_max = 2 * n_max_formula
-        elif scale == _ORACLE:
-            n_max = n_max_oracle
-        else:
-            n_max = n_max_formula
+    for name, bounds, fn in CHECKS:
+        h, n = bounds(h_max, n_max_formula, n_max_oracle)
         try:
-            counterexample = fn(h_max, n_max)
+            counterexample = fn(h, n)
         except Exception as exc:  # a blown invariant inside a check is a failure
             counterexample = f"exception: {exc}"
-        pin_h, pin_n = _PINS.get(name, (h_max, n_max))
         results.append(
             CheckResult(
                 name=name,
-                params=f"h<={min(h_max, pin_h)}, n<={min(n_max, pin_n)}",
+                params=f"h<={h}, n<={n}",
                 ok=counterexample is None,
                 counterexample=counterexample,
             )

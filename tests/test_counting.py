@@ -96,6 +96,19 @@ class TestIndexBijection:
     def test_rejects_dependent_subset(self):
         with pytest.raises(ValueError):
             counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 3], 5))
+        with pytest.raises(ValueError):
+            counting.subset_to_indices(3, -1, VertexSubset(0, 3))
+        # the gap rule agrees with independence in the path-power graph
+        for h in range(4):
+            for n in range(11):
+                g = power_path(n, h)
+                for m in range(1 << n):
+                    s = VertexSubset(m, n)
+                    if is_independent(g, s):
+                        counting.subset_to_indices(n, h, s)
+                    else:
+                        with pytest.raises(ValueError, match="not independent"):
+                            counting.subset_to_indices(n, h, s)
 
     @pytest.mark.parametrize("h", range(0, 4))
     @pytest.mark.parametrize("n", range(0, 11))

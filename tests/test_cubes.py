@@ -47,6 +47,13 @@ class TestHasseDiagram:
         for low, high in d.covers:
             assert low.bits & ~high.bits == 0
             assert high.cardinality == low.cardinality + 1
+        # covers come sorted by (low cardinality, low mask, high mask)
+        for build in (power_path, power_cycle):
+            for n in range(11):
+                for h in range(4):
+                    d = hasse_diagram(build(n, h))
+                    keys = [(low.cardinality, low.bits, high.bits) for low, high in d.covers]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), (build.__name__, n, h)
 
     def test_cover_count_is_weighted_level_sum(self):
         for n, h in [(6, 1), (7, 2), (5, 0)]:

@@ -1,6 +1,54 @@
 import pytest
 
-from indcubes import counting, verify
+from indcubes import counting, graphs, verify
+
+DEFAULT_REPORT = [
+    "PASS  path-oracle-agreement  [h<=4, n<=14]",
+    "PASS  cycle-oracle-agreement  [h<=4, n<=14]",
+    "PASS  path-subgraph-of-cycle  [h<=4, n<=14]",
+    "PASS  cycle-degree-regular  [h<=4, n<=14]",
+    "PASS  enumeration-order-strict  [h<=4, n<=14]",
+    "PASS  independence-matches-enumeration  [h<=4, n<=14]",
+    "PASS  containing-vertex-row-sum  [h<=4, n<=14]",
+    "PASS  containing-vertex-column-sum  [h<=4, n<=14]",
+    "PASS  bijection-roundtrip  [h<=3, n<=14]",
+    "PASS  hasse-cover-grading  [h<=4, n<=14]",
+    "PASS  path-cover-counts  [h<=4, n<=14]",
+    "PASS  cycle-cover-counts  [h<=4, n<=14]",
+    "PASS  fibonacci-cube-structure  [h<=1, n<=14]",
+    "PASS  lucas-cube-structure  [h<=1, n<=14]",
+    "PASS  pattern-cube-identity  [h<=3, n<=14]",
+    "PASS  single-pattern-cube-identity  [h<=1, n<=14]",
+    "PASS  cube-edges-comparable  [h<=1, n<=14]",
+    "PASS  path-recurrence-agreement  [h<=4, n<=200]",
+    "PASS  cycle-recurrence-agreement  [h<=4, n<=200]",
+    "PASS  edge-convolution-agreement  [h<=4, n<=200]",
+    "PASS  edge-closed-form-agreement  [h<=4, n<=200]",
+    "PASS  hfib-prefix-structure  [h<=4, n<=200]",
+    "PASS  order-reduction-identity  [h<=4, n<=50]",
+    "PASS  cycle-decomposition-identity  [h<=4, n<=200]",
+    "PASS  classic-sequence-identities  [h<=4, n<=200]",
+    "PASS  boolean-lattice-counts  [h<=4, n<=200]",
+    "PASS  divisibility  [h<=4, n<=400]",
+    "overall: PASS",
+]
+
+
+def _recording_checks(monkeypatch):
+    """Replace every check with a stub that records the (h_max, n_max) it
+    was called with and passes; returns check name -> recorded bounds."""
+    calls = {}
+
+    def stub(name):
+        def record(h_max, n_max):
+            calls[name] = (h_max, n_max)
+
+        return record
+
+    monkeypatch.setattr(
+        verify, "CHECKS", tuple((name, bounds, stub(name)) for name, bounds, _ in verify.CHECKS)
+    )
+    return calls
 
 
 def test_small_sweep_passes():
@@ -17,6 +65,33 @@ def test_default_ranges_pass():
     # the documented default sweep: h<=4, formulas to 200, enumeration to 14
     report = verify.run_all()
     assert report.overall
+    assert report.render_text().split("\n") == DEFAULT_REPORT
+
+
+def test_params_are_the_bounds_each_check_swept(monkeypatch):
+    calls = _recording_checks(monkeypatch)
+    report = verify.run_all(9, 70, 16)
+    assert len(calls) == len(report.checks) == len(verify.CHECKS)
+    for c in report.checks:
+        h, n = calls[c.name]
+        assert c.params == f"h<={h}, n<={n}"
+
+
+@pytest.mark.parametrize("bounds", [(-1, -1, -1), (-1, 200, 14), (4, -1, 14), (4, 200, -1)])
+def test_negative_bounds_rejected_before_any_check(monkeypatch, bounds):
+    calls = _recording_checks(monkeypatch)
+    with pytest.raises(ValueError):
+        verify.run_all(*bounds)
+    assert calls == {}
+
+
+def test_oracle_bound_over_cube_cap_rejected_before_any_check(monkeypatch):
+    calls = _recording_checks(monkeypatch)
+    with pytest.raises(graphs.CapacityError, match="cap of 20"):
+        verify.run_all(4, 200, 21)
+    assert calls == {}
+    verify.run_all(4, 200, 20)
+    assert len(calls) == len(verify.CHECKS)
 
 
 def test_report_shape():
