@@ -59,40 +59,38 @@ def render_seq(kind: str, h: int, count: int) -> str:
 
 
 def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int, int]]]:
-    """Labels plus 1-based edge index pairs for the requested object."""
+    """Labels plus 0-based edge index pairs for the requested object, built
+    once from integer masks."""
     family = args.family
     n = args.n
     if family in ("path", "cycle"):
         h = 1 if args.h is None else args.h
         g = graphs.power_path(n, h) if family == "path" else graphs.power_cycle(n, h)
         if args.what == "graph":
-            return [str(i) for i in range(1, n + 1)], list(g.edges())
-        diagram = cubes.hasse_diagram(g)
-        labels = [s.to_string() for s in diagram.nodes()]
-        index = {s.bits: i + 1 for i, s in enumerate(diagram.nodes())}
-        edges = [(index[a.bits], index[b.bits]) for a, b in diagram.covers]
-        return labels, edges
-    if args.what != "graph":
-        raise ValueError(f"--what hasse applies to path/cycle, not {family}")
-    if family == "fib-cube":
-        strings = cubes.fibonacci_strings(n)
-        g = cubes.fibonacci_cube(n)
-    elif family == "lucas-cube":
-        strings = cubes.lucas_strings(n)
-        g = cubes.lucas_cube(n)
-    else:  # gen-cube
-        strings = cubes.avoiding_strings(n, args.patterns, args.circular)
-        g = cubes.generalized_cube(n, args.patterns, args.circular)
-    return [s.to_string() for s in strings], list(g.edges())
+            return [str(i) for i in range(1, n + 1)], [(i - 1, j - 1) for i, j in g.edges()]
+        masks, pairs = cubes._hasse_masks(g)
+    else:
+        if args.what != "graph":
+            raise ValueError(f"--what hasse applies to path/cycle, not {family}")
+        if family == "fib-cube":
+            strings = cubes.fibonacci_strings(n)
+        elif family == "lucas-cube":
+            strings = cubes.lucas_strings(n)
+        else:  # gen-cube
+            strings = cubes.avoiding_strings(n, args.patterns, args.circular)
+        masks = [s.bits for s in strings]
+        pairs = cubes._hamming_pairs(masks, n)
+    return [graphs._mask_string(m, n) for m in masks], pairs
 
 
 def render_export(args: argparse.Namespace) -> str:
-    labels, edges = _export_object(args)
+    labels, pairs = _export_object(args)
     if args.format == "json":
-        return json.dumps({"n": len(labels), "labels": labels, "edges": [list(e) for e in edges]})
+        edges = [(i + 1, j + 1) for i, j in pairs]  # json writes tuples as arrays
+        return json.dumps({"n": len(labels), "labels": labels, "edges": edges})
     lines = ["graph G {"]
     lines += [f'  "{lab}";' for lab in labels]
-    lines += [f'  "{labels[i - 1]}" -- "{labels[j - 1]}";' for i, j in edges]
+    lines += [f'  "{labels[i]}" -- "{labels[j]}";' for i, j in pairs]
     lines.append("}")
     return "\n".join(lines)
 

@@ -17,7 +17,7 @@ from .graphs import (
     SimpleGraph,
     VertexSubset,
     _canonical,
-    contains_pattern,
+    _check_pattern,
     enumerate_independent,
 )
 
@@ -52,8 +52,9 @@ class PosetDiagram:
         return len(self.covers)
 
 
-def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
-    """Diagram of the independent subsets of g ordered by inclusion.
+def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The independent masks of g in canonical order, and the covers as
+    0-based index pairs into them.
 
     Covers are exactly the pairs (s, s + v): adding one non-conflicting
     vertex to an independent set is the only way to go up one level. Taking
@@ -61,17 +62,27 @@ def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
     """
     if g.n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={g.n} exceeds the diagram cap of {MAX_CUBE_ORDER}")
-    subsets = enumerate_independent(g)
-    max_card = subsets[-1].cardinality
-    levels: list[list[VertexSubset]] = [[] for _ in range(max_card + 1)]
-    for s in subsets:
+    masks = [s.bits for s in enumerate_independent(g)]
+    index = {m: i for i, m in enumerate(masks)}
+    closed = [(row | (1 << v), 1 << v) for v, row in enumerate(g.adj)]
+    covers = [
+        (i, index[m | bit]) for i, m in enumerate(masks) for row, bit in closed if not (row & m)
+    ]
+    return masks, covers
+
+
+def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
+    """Diagram of the independent subsets of g ordered by inclusion."""
+    masks, covers = _hasse_masks(g)
+    nodes = [VertexSubset(m, g.n) for m in masks]
+    levels: list[list[VertexSubset]] = [[] for _ in range(masks[-1].bit_count() + 1)]
+    for s in nodes:
         levels[s.cardinality].append(s)
-    covers = []
-    for s in subsets:
-        for v in range(g.n):
-            if not ((s.bits >> v) & 1) and not (g.adj[v] & s.bits):
-                covers.append((s, VertexSubset(s.bits | (1 << v), g.n)))
-    return PosetDiagram(g.n, tuple(tuple(level) for level in levels), tuple(covers))
+    return PosetDiagram(
+        g.n,
+        tuple(tuple(level) for level in levels),
+        tuple((nodes[i], nodes[j]) for i, j in covers),
+    )
 
 
 def diagram_as_graph(d: PosetDiagram) -> SimpleGraph:
@@ -94,19 +105,26 @@ def _check_cube_order(n: int) -> None:
         raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
 
 
+def _hamming_pairs(masks: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """0-based index pairs (i, j) of the width-n masks at Hamming distance one,
+    masks[i] being the one with the bit cleared. For masks in canonical order
+    the pairs come out ascending: masks[j] sits one level above masks[i], and
+    raising bit v upward gives ascending j."""
+    index = {m: i for i, m in enumerate(masks)}
+    bits = [1 << v for v in range(n)]
+    return [
+        (i, j)
+        for i, m in enumerate(masks)
+        for bit in bits
+        if not m & bit and (j := index.get(m | bit)) is not None
+    ]
+
+
 def _hamming_cube(vertices: Sequence[VertexSubset]) -> SimpleGraph:
     """Graph on the given strings with edges at Hamming distance one."""
-    index = {s.bits: i for i, s in enumerate(vertices)}
     n = vertices[0].n if vertices else 0
-    rows = [0] * len(vertices)
-    for i, s in enumerate(vertices):
-        for v in range(n):
-            flipped = s.bits ^ (1 << v)
-            j = index.get(flipped)
-            if j is not None and flipped > s.bits:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SimpleGraph(len(vertices), tuple(rows))
+    pairs = _hamming_pairs([s.bits for s in vertices], n)
+    return SimpleGraph.from_edges(len(vertices), ((i + 1, j + 1) for i, j in pairs))
 
 
 def fibonacci_strings(n: int) -> list[VertexSubset]:
@@ -127,15 +145,38 @@ def lucas_strings(n: int) -> list[VertexSubset]:
 
 
 def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) -> list[VertexSubset]:
-    """Length-n strings containing none of the patterns, canonical order."""
+    """Length-n strings containing none of the patterns, canonical order.
+
+    Strings grow one bit at a time, and a prefix is dropped as soon as it ends
+    with a pattern, so the cost follows the number of avoiders, not 2^n.
+    Patterns longer than n cannot occur and are ignored. In circular mode each
+    finished string is also tested across the wrap, on the string followed by
+    its first L - 1 bits (L the longest pattern kept).
+    """
     _check_cube_order(n)
     if not patterns:
         raise ValueError("pattern list must be nonempty")
-    masks = []
-    for m in range(1 << n):
-        s = VertexSubset(m, n)
-        if not any(contains_pattern(s, p, circular) for p in patterns):
-            masks.append(m)
+    for p in patterns:
+        _check_pattern(p)
+    # (length, window mask, pattern as a mask with b_1 at bit 0)
+    kept = [(len(p), (1 << len(p)) - 1, int(p[::-1], 2)) for p in patterns if len(p) <= n]
+    masks = [0]
+    for k in range(1, n + 1):  # grow every surviving prefix to length k
+        masks = [
+            m
+            for base in masks
+            for m in (base, base | 1 << (k - 1))
+            if not any(size <= k and (m >> (k - size)) & window == p for size, window, p in kept)
+        ]
+    if circular and kept:
+        head = (1 << (max(size for size, _, _ in kept) - 1)) - 1
+        wraps = [(window, p, range(n - size + 1, n)) for size, window, p in kept]
+        survivors = []
+        for m in masks:
+            wide = m | ((m & head) << n)  # the string, then its first L - 1 bits
+            if not any((wide >> start) & window == p for window, p, starts in wraps for start in starts):
+                survivors.append(m)
+        masks = survivors
     return _canonical(masks, n)
 
 

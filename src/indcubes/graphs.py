@@ -59,7 +59,7 @@ class VertexSubset:
 
     def to_string(self) -> str:
         """The binary string b_1...b_n (b_i = 1 iff v_i is a member)."""
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return _mask_string(self.bits, self.n)
 
     @property
     def cardinality(self) -> int:
@@ -207,6 +207,11 @@ def enumerate_independent(g: SimpleGraph) -> list[VertexSubset]:
     return _canonical(found, n)
 
 
+def _mask_string(bits: int, n: int) -> str:
+    """The binary string b_1...b_n of a width-n mask: bit 0 first."""
+    return format(bits, f"0{n}b")[::-1] if n else ""
+
+
 def _canonical(masks: list[int], n: int) -> list[VertexSubset]:
     """Sort the masks in place by (cardinality, mask value) and wrap them."""
     masks.sort(key=lambda m: (m.bit_count(), m))
@@ -227,13 +232,17 @@ def contains_pattern(s: VertexSubset, pattern: str, circular: bool = False) -> b
     to the first, so an occurrence may wrap around the end once; patterns
     longer than the string cannot occur.
     """
-    if not pattern:
-        raise ValueError("empty pattern")
-    if set(pattern) - {"0", "1"}:
-        raise ValueError(f"not a binary pattern: {pattern!r}")
+    _check_pattern(pattern)
     text = s.to_string()
     if not circular:
         return pattern in text
     if len(pattern) > s.n:
         return False
     return pattern in (text + text)[: s.n + len(pattern) - 1]
+
+
+def _check_pattern(pattern: str) -> None:
+    if not pattern:
+        raise ValueError("empty pattern")
+    if set(pattern) - {"0", "1"}:
+        raise ValueError(f"not a binary pattern: {pattern!r}")

@@ -498,10 +498,11 @@ def check_divisibility(h_max: int, n_max: int) -> str | None:
 
 # Registry: (name, bounds, check function). bounds maps the requested h_max,
 # n_max_formula and n_max_oracle (h, f, o) to the (h_max, n_max) passed to the
-# check, applying the check's own limits: the order-1 cube checks test h = 1
-# only, and the cube, bijection and order-reduction sweeps keep their
-# documented ranges whatever is requested. Order is the report order and must
-# stay deterministic.
+# check, applying the check's own limits: the order-1 cube checks and the
+# classic identities test h = 1 only, the Boolean lattice h = 0 only, and the
+# cube, bijection and order-reduction sweeps keep their documented ranges
+# whatever is requested. Order is the report order and must stay
+# deterministic.
 CHECKS = (
     ("path-oracle-agreement", lambda h, f, o: (h, o), check_path_oracle),
     ("cycle-oracle-agreement", lambda h, f, o: (h, o), check_cycle_oracle),
@@ -531,8 +532,8 @@ CHECKS = (
     ("hfib-prefix-structure", lambda h, f, o: (h, f), check_hfib_prefix),
     ("order-reduction-identity", lambda h, f, o: (min(h, 6), min(f, 50)), check_order_reduction),
     ("cycle-decomposition-identity", lambda h, f, o: (h, f), check_cycle_decomposition),
-    ("classic-sequence-identities", lambda h, f, o: (h, f), check_classic_identities),
-    ("boolean-lattice-counts", lambda h, f, o: (h, f), check_boolean_lattice),
+    ("classic-sequence-identities", lambda h, f, o: (min(h, 1), f), check_classic_identities),
+    ("boolean-lattice-counts", lambda h, f, o: (0, f), check_boolean_lattice),
     ("divisibility", lambda h, f, o: (h, 2 * f), check_divisibility),
 )
 

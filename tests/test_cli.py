@@ -5,6 +5,7 @@ import pytest
 
 from indcubes import counting
 from indcubes.cli import main
+from indcubes.cubes import power_patterns
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +250,37 @@ class TestExport:
             main(["export", "--family", "gen-cube", "--n", "4", "--patterns", "1,2x",
                   "--what", "graph", "--format", "dot"])
         assert exc.value.code == 2
+
+
+def _twin_cases():
+    """(string route, Hasse route) export arguments that must print the same
+    labelled graph: the cube families against the order-h diagrams."""
+    for n in range(13):
+        yield ["--family", "fib-cube", "--n", str(n)], ["--family", "path", "--n", str(n), "--h", "1"]
+    for n in range(2, 13):
+        yield ["--family", "lucas-cube", "--n", str(n)], ["--family", "cycle", "--n", str(n), "--h", "1"]
+    for h in (2, 3):
+        patterns = ",".join(power_patterns(h))
+        for n in range(13):
+            yield (
+                ["--family", "gen-cube", "--n", str(n), "--patterns", patterns, "--circular"],
+                ["--family", "cycle", "--n", str(n), "--h", str(h)],
+            )
+
+
+class TestTwinExports:
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_cube_and_hasse_routes_print_the_same_bytes(self, capsys, fmt):
+        for cube, hasse in _twin_cases():
+            code, by_strings, err = run_cli(capsys, "export", *cube, "--what", "graph", "--format", fmt)
+            assert (code, err) == (0, ""), cube
+            code, by_hasse, err = run_cli(capsys, "export", *hasse, "--what", "hasse", "--format", fmt)
+            assert (code, err) == (0, ""), hasse
+            assert by_strings == by_hasse, (cube, hasse)
+            if fmt == "json":
+                edges = [tuple(e) for e in json.loads(by_strings)["edges"]]
+                assert all(a < b for a, b in zip(edges, edges[1:])), cube
+                assert all(i < j for i, j in edges), cube
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from indcubes import counting
@@ -13,7 +15,14 @@ from indcubes.cubes import (
     power_patterns,
     same_labeled_graph,
 )
-from indcubes.graphs import CapacityError, SimpleGraph, VertexSubset, power_cycle, power_path
+from indcubes.graphs import (
+    CapacityError,
+    SimpleGraph,
+    VertexSubset,
+    contains_pattern,
+    power_cycle,
+    power_path,
+)
 
 from conftest import brute_cover_count, brute_independent_sets
 
@@ -161,6 +170,49 @@ class TestGeneralizedCube:
             )
             got = sorted(_labels(avoiding_strings(n, patterns, circular)))
             assert got == want, f"n={n} h={h} circular={circular}"
+
+    def test_avoiders_not_closed_downward(self):
+        assert _labels(avoiding_strings(3, ["0"])) == ["111"]
+        assert _labels(avoiding_strings(3, ["0"], circular=True)) == ["111"]
+        assert _labels(avoiding_strings(3, ["10"])) == ["000", "001", "011", "111"]
+        assert _labels(avoiding_strings(3, ["10"], circular=True)) == ["000", "111"]
+        assert _labels(avoiding_strings(4, ["01", "1"])) == ["0000"]
+
+    def test_patterns_longer_than_n_are_ignored(self):
+        for circular in (False, True):
+            assert _labels(avoiding_strings(0, ["1"], circular)) == [""]
+            assert _labels(avoiding_strings(2, ["111"], circular)) == ["00", "10", "01", "11"]
+            assert _labels(avoiding_strings(2, ["0110", "11"], circular)) == ["00", "10", "01"]
+        # the wrap window is as long as the longest pattern that is kept
+        assert _labels(avoiding_strings(3, ["11", "1001"], circular=True)) == [
+            "000", "100", "010", "001",
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_contains_pattern_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(15):
+            patterns = [
+                "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            for n in range(11):
+                for circular in (False, True):
+                    scan = [VertexSubset(m, n) for m in range(1 << n)]
+                    want = [
+                        s
+                        for s in sorted(scan, key=VertexSubset.sort_key)
+                        if not any(contains_pattern(s, p, circular) for p in patterns)
+                    ]
+                    got = avoiding_strings(n, patterns, circular)
+                    assert got == want, (patterns, n, circular)
+
+    def test_rejects_bad_patterns(self):
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="^empty pattern$"):
+                avoiding_strings(n, ["0", ""])
+            with pytest.raises(ValueError, match=r"^not a binary pattern: '1x1'$"):
+                avoiding_strings(n, ["1", "1x1"], circular=True)
 
     def test_power_patterns(self):
         assert power_patterns(1) == ["11"]

@@ -27,8 +27,8 @@ DEFAULT_REPORT = [
     "PASS  hfib-prefix-structure  [h<=4, n<=200]",
     "PASS  order-reduction-identity  [h<=4, n<=50]",
     "PASS  cycle-decomposition-identity  [h<=4, n<=200]",
-    "PASS  classic-sequence-identities  [h<=4, n<=200]",
-    "PASS  boolean-lattice-counts  [h<=4, n<=200]",
+    "PASS  classic-sequence-identities  [h<=1, n<=200]",
+    "PASS  boolean-lattice-counts  [h<=0, n<=200]",
     "PASS  divisibility  [h<=4, n<=400]",
     "overall: PASS",
 ]
