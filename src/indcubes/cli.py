@@ -36,7 +36,7 @@ def render_table(family: str, h: int, n_max: int, per_k: bool) -> str:
     """TSV of totals and poset edge counts for n = 0..n_max, with optional
     per-size columns."""
     count_k = counting.path_count_k if family == "path" else counting.cycle_count_k
-    k_cols = (n_max + h) // (h + 1) + 1 if per_k else 0
+    k_cols = counting._max_size(n_max, h) + 1 if per_k else 0
     header = ["n", "total", "edges"] + [f"k{k}" for k in range(k_cols)]
     lines = ["\t".join(header)]
     for n, (total, edges) in zip(range(n_max + 1), counting._rows(family, h)):
@@ -70,8 +70,6 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int,
             return [str(i) for i in range(1, n + 1)], [(i - 1, j - 1) for i, j in g.edges()]
         masks, pairs = cubes._hasse_masks(g)
     else:
-        if args.what != "graph":
-            raise ValueError(f"--what hasse applies to path/cycle, not {family}")
         if family == "fib-cube":
             strings = cubes.fibonacci_strings(n)
         elif family == "lucas-cube":

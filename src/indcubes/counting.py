@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .graphs import VertexSubset
 
@@ -41,16 +41,24 @@ def path_count_k_clamped(n: int, h: int, k: int) -> int:
     return path_count_k(max(n, 0), h, k)
 
 
+def _max_size(n: int, h: int) -> int:
+    """Largest k with a nonzero path count p_k(n, h); cycle counts vanish
+    beyond it too."""
+    return (n + h) // (h + 1)
+
+
+def _weighted_sum(count_k: Callable[[int, int, int], int], n: int, h: int, w: int) -> int:
+    """Sum of k^w * count_k(n, h, k) over k = 0.._max_size(n, h): w = 0
+    gives the total, w = 1 the cover edges, since each k-subset covers
+    exactly k subsets one element smaller."""
+    if n < 0 or h < 0:
+        raise ValueError("n, h must be nonnegative")
+    return sum(k**w * count_k(n, h, k) for k in range(_max_size(n, h) + 1))
+
+
 def path_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-path."""
-    total = 0
-    k = 0
-    while True:
-        term = path_count_k(n, h, k)
-        if term == 0 and k > 0:
-            return total
-        total += term
-        k += 1
+    return _weighted_sum(path_count_k, n, h, 0)
 
 
 def path_count_clamped(n: int, h: int) -> int:
@@ -160,14 +168,7 @@ def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:
 def path_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the path-power independence poset: each k-subset
     covers exactly k subsets one element smaller, so sum k times the counts."""
-    total = 0
-    k = 1
-    while True:
-        term = path_count_k(n, h, k)
-        if term == 0:
-            return total
-        total += k * term
-        k += 1
+    return _weighted_sum(path_count_k, n, h, 1)
 
 
 @dataclass(frozen=True)
@@ -243,31 +244,13 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
 
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-cycle."""
-    if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
-    total = 1 + n  # k = 0 and k = 1
-    k = 2
-    while True:
-        term = cycle_count_k(n, h, k)
-        if term == 0:
-            return total
-        total += term
-        k += 1
+    return _weighted_sum(cycle_count_k, n, h, 0)
 
 
 def cycle_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the cycle-power independence poset, as the
     k-weighted sum of the per-size counts."""
-    if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
-    total = n  # k = 1
-    k = 2
-    while True:
-        term = cycle_count_k(n, h, k)
-        if term == 0:
-            return total
-        total += k * term
-        k += 1
+    return _weighted_sum(cycle_count_k, n, h, 1)
 
 
 def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:

@@ -135,13 +135,7 @@ def fibonacci_strings(n: int) -> list[VertexSubset]:
 
 def lucas_strings(n: int) -> list[VertexSubset]:
     """Fibonacci strings whose first and last bits are not both one."""
-    _check_cube_order(n)
-    masks = [
-        m
-        for m in range(1 << n)
-        if not (m & (m >> 1)) and not (n and (m & 1) and (m >> (n - 1)) & 1)
-    ]
-    return _canonical(masks, n)
+    return [s for s in fibonacci_strings(n) if not (s.bits & 1 and s.bits >> (n - 1) & 1)]
 
 
 def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) -> list[VertexSubset]:

@@ -9,6 +9,7 @@ bare boolean. The `verify` CLI command and the test suite both run these.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import counting, cubes, graphs
@@ -56,15 +57,43 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _histogram(subsets: list[graphs.VertexSubset]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for s in subsets:
-        hist[s.cardinality] = hist.get(s.cardinality, 0) + 1
-    return hist
+def _powers(n: int, h: int) -> tuple[tuple[bool, graphs.SimpleGraph], ...]:
+    """(cyclic, graph) for the h-power of the n-path, then of the n-cycle."""
+    return ((False, graphs.power_path(n, h)), (True, graphs.power_cycle(n, h)))
 
 
-def _max_k(n: int, h: int) -> int:
-    return (n + h) // (h + 1)
+# Shared sweep bodies. Each check passes its routes in, read from their
+# modules when the check runs, so a route rebound there (a test's monkeypatch,
+# perfbench's tracer) is the one compared.
+
+
+def _oracle_sweep(h_max: int, n_max: int, build, total, count_k) -> str | None:
+    for h in range(h_max + 1):
+        for n in range(n_max + 1):
+            subsets = graphs.enumerate_independent(build(n, h))
+            if len(subsets) != total(n, h):
+                return f"n={n} h={h}: total {len(subsets)} != {total(n, h)}"
+            hist = Counter(s.cardinality for s in subsets)
+            for k in range(counting._max_size(n, h) + 2):
+                if hist[k] != count_k(n, h, k):
+                    return f"n={n} h={h} k={k}: enumerated {hist[k]} != {count_k(n, h, k)}"
+    return None
+
+
+def _routes_agree(h_max: int, n_max: int, routes, template: str) -> str | None:
+    """Evaluate each route(n, h) for every h <= h_max, n <= n_max; at the first
+    disagreement return `n=.. h=..: ` plus template.format(*values)."""
+    for h in range(h_max + 1):
+        for n in range(n_max + 1):
+            values = [route(n, h) for route in routes]
+            if len(set(values)) > 1:
+                return f"n={n} h={h}: " + template.format(*values)
+    return None
+
+
+def _cover_count(build):
+    """Route: the number of covers in the mask-level diagram of build(n, h)."""
+    return lambda n, h: len(cubes._hasse_masks(build(n, h))[1])
 
 
 # --- oracle-scale checks (bounded by n_max_oracle) -------------------------
@@ -72,36 +101,16 @@ def _max_k(n: int, h: int) -> int:
 
 def check_path_oracle(h_max: int, n_max: int) -> str | None:
     """Enumerated totals and per-size histograms match the path formulas."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            subsets = graphs.enumerate_independent(graphs.power_path(n, h))
-            if len(subsets) != counting.path_count(n, h):
-                return f"n={n} h={h}: total {len(subsets)} != {counting.path_count(n, h)}"
-            hist = _histogram(subsets)
-            for k in range(_max_k(n, h) + 2):
-                if hist.get(k, 0) != counting.path_count_k(n, h, k):
-                    return (
-                        f"n={n} h={h} k={k}: enumerated {hist.get(k, 0)} "
-                        f"!= {counting.path_count_k(n, h, k)}"
-                    )
-    return None
+    return _oracle_sweep(
+        h_max, n_max, graphs.power_path, counting.path_count, counting.path_count_k
+    )
 
 
 def check_cycle_oracle(h_max: int, n_max: int) -> str | None:
     """Enumerated totals and per-size histograms match the cycle formulas."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            subsets = graphs.enumerate_independent(graphs.power_cycle(n, h))
-            if len(subsets) != counting.cycle_count(n, h):
-                return f"n={n} h={h}: total {len(subsets)} != {counting.cycle_count(n, h)}"
-            hist = _histogram(subsets)
-            for k in range(_max_k(n, h) + 2):
-                if hist.get(k, 0) != counting.cycle_count_k(n, h, k):
-                    return (
-                        f"n={n} h={h} k={k}: enumerated {hist.get(k, 0)} "
-                        f"!= {counting.cycle_count_k(n, h, k)}"
-                    )
-    return None
+    return _oracle_sweep(
+        h_max, n_max, graphs.power_cycle, counting.cycle_count, counting.cycle_count_k
+    )
 
 
 def check_path_subgraph_of_cycle(h_max: int, n_max: int) -> str | None:
@@ -131,8 +140,7 @@ def check_enumeration_order(h_max: int, n_max: int) -> str | None:
     """Enumeration output is strictly sorted by (cardinality, mask value)."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for cyclic in (False, True):
-                g = graphs.power_cycle(n, h) if cyclic else graphs.power_path(n, h)
+            for cyclic, g in _powers(n, h):
                 subsets = graphs.enumerate_independent(g)
                 keys = [s.sort_key() for s in subsets]
                 if any(a >= b for a, b in zip(keys, keys[1:])):
@@ -145,8 +153,7 @@ def check_membership_equivalence(h_max: int, n_max: int) -> str | None:
     full power set of small graphs."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for cyclic in (False, True):
-                g = graphs.power_cycle(n, h) if cyclic else graphs.power_path(n, h)
+            for cyclic, g in _powers(n, h):
                 enumerated = {s.bits for s in graphs.enumerate_independent(g)}
                 for m in range(1 << n):
                     s = graphs.VertexSubset(m, n)
@@ -160,7 +167,7 @@ def check_containing_row_sum(h_max: int, n_max: int) -> str | None:
     k times."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for k in range(1, _max_k(n, h) + 2):
+            for k in range(1, counting._max_size(n, h) + 2):
                 total = sum(
                     counting.path_count_k_containing(n, h, k, i) for i in range(1, n + 1)
                 )
@@ -180,7 +187,7 @@ def check_containing_column_sum(h_max: int, n_max: int) -> str | None:
             for i in range(1, n + 1):
                 total = sum(
                     counting.path_count_k_containing(n, h, k, i)
-                    for k in range(1, _max_k(n, h) + 2)
+                    for k in range(1, counting._max_size(n, h) + 2)
                 )
                 expect = counting.path_count_clamped(i - h - 1, h) * counting.path_count_clamped(
                     n - h - i, h
@@ -201,7 +208,7 @@ def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
                 back = counting.indices_to_subset(n, h, idx)
                 if back != s:
                     return f"n={n} h={h} subset={s.to_string()}: roundtrip gave {back.to_string()}"
-            for k in range(_max_k(n, h) + 1):
+            for k in range(counting._max_size(n, h) + 1):
                 upper = n - h * k + h
                 for combo in itertools.combinations(range(1, upper + 1), k):
                     image = counting.indices_to_subset(n, h, list(combo))
@@ -217,21 +224,21 @@ def check_hasse_grading(h_max: int, n_max: int) -> str | None:
     inclusion, and the cover count is the k-weighted sum of level sizes."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for cyclic in (False, True):
-                g = graphs.power_cycle(n, h) if cyclic else graphs.power_path(n, h)
-                d = cubes.hasse_diagram(g)
-                if list(d.levels[0]) != [graphs.VertexSubset(0, n)]:
+            for cyclic, g in _powers(n, h):
+                masks, covers = cubes._hasse_masks(g)
+                if masks.count(0) != 1:
                     return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
-                for low, high in d.covers:
-                    if low.bits & ~high.bits or high.cardinality != low.cardinality + 1:
+                for i, j in covers:
+                    low, high = masks[i], masks[j]
+                    if low & ~high or high.bit_count() != low.bit_count() + 1:
                         return (
                             f"n={n} h={h} cyclic={cyclic}: bad cover "
-                            f"{low.to_string()} -> {high.to_string()}"
+                            f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
                         )
-                weighted = sum(k * len(level) for k, level in enumerate(d.levels))
-                if d.cover_count != weighted:
+                weighted = sum(m.bit_count() for m in masks)
+                if len(covers) != weighted:
                     return (
-                        f"n={n} h={h} cyclic={cyclic}: covers {d.cover_count} "
+                        f"n={n} h={h} cyclic={cyclic}: covers {len(covers)} "
                         f"!= weighted levels {weighted}"
                     )
     return None
@@ -239,26 +246,22 @@ def check_hasse_grading(h_max: int, n_max: int) -> str | None:
 
 def check_path_cover_counts(h_max: int, n_max: int) -> str | None:
     """Constructed path-poset cover counts match both edge formulas."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            d = cubes.hasse_diagram(graphs.power_path(n, h))
-            by_sum = counting.path_hasse_edges(n, h)
-            by_conv = counting.path_hasse_edges_conv(n, h)
-            if not d.cover_count == by_sum == by_conv:
-                return f"n={n} h={h}: covers={d.cover_count} sum={by_sum} conv={by_conv}"
-    return None
+    routes = (
+        _cover_count(graphs.power_path),
+        counting.path_hasse_edges,
+        counting.path_hasse_edges_conv,
+    )
+    return _routes_agree(h_max, n_max, routes, "covers={} sum={} conv={}")
 
 
 def check_cycle_cover_counts(h_max: int, n_max: int) -> str | None:
     """Constructed cycle-poset cover counts match the sum and closed forms."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            d = cubes.hasse_diagram(graphs.power_cycle(n, h))
-            by_sum = counting.cycle_hasse_edges(n, h)
-            closed = counting.cycle_hasse_edges_closed(n, h)
-            if not d.cover_count == by_sum == closed:
-                return f"n={n} h={h}: covers={d.cover_count} sum={by_sum} closed={closed}"
-    return None
+    routes = (
+        _cover_count(graphs.power_cycle),
+        counting.cycle_hasse_edges,
+        counting.cycle_hasse_edges_closed,
+    )
+    return _routes_agree(h_max, n_max, routes, "covers={} sum={} closed={}")
 
 
 def check_fibonacci_cube(h_max: int, n_max: int) -> str | None:
@@ -310,8 +313,7 @@ def check_pattern_cubes(h_max: int, n_max: int) -> str | None:
     for h in range(2, h_max + 1):
         patterns = cubes.power_patterns(h)
         for n in range(n_max + 1):
-            for cyclic in (False, True):
-                g = graphs.power_cycle(n, h) if cyclic else graphs.power_path(n, h)
+            for cyclic, g in _powers(n, h):
                 want = [s.to_string() for s in graphs.enumerate_independent(g)]
                 got = [s.to_string() for s in cubes.avoiding_strings(n, patterns, cyclic)]
                 if got != want:
@@ -365,26 +367,14 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
 
 def check_path_recurrence(h_max: int, n_max: int) -> str | None:
     """Closed-sum path totals equal the recurrence-only evaluation."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            if counting.path_count(n, h) != counting.path_count_rec(n, h):
-                return (
-                    f"n={n} h={h}: {counting.path_count(n, h)} != "
-                    f"{counting.path_count_rec(n, h)}"
-                )
-    return None
+    routes = (counting.path_count, counting.path_count_rec)
+    return _routes_agree(h_max, n_max, routes, "{} != {}")
 
 
 def check_cycle_recurrence(h_max: int, n_max: int) -> str | None:
     """Closed-sum cycle totals equal the recurrence-only evaluation."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            if counting.cycle_count(n, h) != counting.cycle_count_rec(n, h):
-                return (
-                    f"n={n} h={h}: {counting.cycle_count(n, h)} != "
-                    f"{counting.cycle_count_rec(n, h)}"
-                )
-    return None
+    routes = (counting.cycle_count, counting.cycle_count_rec)
+    return _routes_agree(h_max, n_max, routes, "{} != {}")
 
 
 def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
@@ -401,14 +391,8 @@ def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
 
 def check_closed_form_agreement(h_max: int, n_max: int) -> str | None:
     """Weighted-sum and closed-form cycle edge counts agree."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            if counting.cycle_hasse_edges(n, h) != counting.cycle_hasse_edges_closed(n, h):
-                return (
-                    f"n={n} h={h}: sum {counting.cycle_hasse_edges(n, h)} != "
-                    f"closed {counting.cycle_hasse_edges_closed(n, h)}"
-                )
-    return None
+    routes = (counting.cycle_hasse_edges, counting.cycle_hasse_edges_closed)
+    return _routes_agree(h_max, n_max, routes, "sum {} != closed {}")
 
 
 def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
@@ -445,7 +429,7 @@ def check_cycle_decomposition(h_max: int, n_max: int) -> str | None:
     and those through a wrap pair."""
     for h in range(h_max + 1):
         for n in range(3 * h + 3, n_max + 1):
-            for k in range(2, _max_k(n, h) + 2):
+            for k in range(2, counting._max_size(n, h) + 2):
                 lhs = counting.path_count_k(n - 2 * h - 1, h, k - 1) + h * counting.path_count_k(
                     n - 3 * h - 2, h, k - 2
                 )
@@ -490,7 +474,7 @@ def check_divisibility(h_max: int, n_max: int) -> str | None:
     """k always divides n * C(n - h*k - 1, k - 1) for k >= 2."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for k in range(2, _max_k(n, h) + 2):
+            for k in range(2, counting._max_size(n, h) + 2):
                 if (n * counting.binom(n - h * k - 1, k - 1)) % k:
                     return f"n={n} h={h} k={k}"
     return None

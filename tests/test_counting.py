@@ -313,6 +313,15 @@ class TestClassicSequences:
                     )
 
 
+@pytest.mark.parametrize(
+    "name", ["path_count", "cycle_count", "path_hasse_edges", "cycle_hasse_edges"]
+)
+@pytest.mark.parametrize("n, h", [(-1, 1), (-5, 0), (4, -1)])
+def test_sums_reject_negative_input(name, n, h):
+    with pytest.raises(ValueError):
+        getattr(counting, name)(n, h)
+
+
 class TestRecurrenceRows:
     """The one-pass rows that `table` and `seq` print, against the closed sums."""
 

@@ -1,6 +1,8 @@
+import types
+
 import pytest
 
-from indcubes import counting, graphs, verify
+from indcubes import counting, cubes, graphs, verify
 
 DEFAULT_REPORT = [
     "PASS  path-oracle-agreement  [h<=4, n<=14]",
@@ -134,3 +136,156 @@ def test_mutated_totals_are_caught(monkeypatch):
     assert not report.overall
     first_bad = next(c for c in report.checks if not c.ok)
     assert "n=5" in (first_bad.counterexample or "")
+
+
+def _off_by_one(monkeypatch, module, name, at):
+    """Make module.name return one more than the real route at the arguments `at`."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + (args == at))
+
+
+def _frozen(monkeypatch, module, name, h_max, n_max):
+    """Replace module.name(n, h) by a table of its current values, so that a
+    later mutation of the routes it calls does not reach it."""
+    fn = getattr(module, name)
+    table = {(n, h): fn(n, h) for h in range(h_max + 1) for n in range(n_max + 1)}
+    monkeypatch.setattr(module, name, lambda n, h: table[(n, h)])
+
+
+@pytest.mark.parametrize(
+    "check, route, at, bounds, counterexample",
+    [
+        ("check_path_oracle", "path_count", (5, 1), (1, 6), "n=5 h=1: total 13 != 14"),
+        ("check_cycle_oracle", "cycle_count", (6, 2), (2, 7), "n=6 h=2: total 10 != 11"),
+        (
+            "check_path_cover_counts",
+            "path_hasse_edges_conv",
+            (6, 2),
+            (2, 8),
+            "n=6 h=2: covers=18 sum=18 conv=19",
+        ),
+        (
+            "check_cycle_cover_counts",
+            "cycle_hasse_edges_closed",
+            (7, 2),
+            (2, 8),
+            "n=7 h=2: covers=21 sum=21 closed=22",
+        ),
+        ("check_path_recurrence", "path_count_rec", (9, 3), (3, 12), "n=9 h=3: 26 != 27"),
+        ("check_cycle_recurrence", "cycle_count_rec", (9, 3), (3, 12), "n=9 h=3: 19 != 20"),
+        (
+            "check_closed_form_agreement",
+            "cycle_hasse_edges_closed",
+            (7, 2),
+            (2, 8),
+            "n=7 h=2: sum 21 != closed 22",
+        ),
+    ],
+)
+def test_counterexample_text(monkeypatch, check, route, at, bounds, counterexample):
+    _off_by_one(monkeypatch, counting, route, at)
+    assert getattr(verify, check)(*bounds) == counterexample
+
+
+@pytest.mark.parametrize(
+    "check, total, count_k, at, bounds, counterexample",
+    [
+        (
+            "check_path_oracle",
+            "path_count",
+            "path_count_k",
+            (6, 1, 2),
+            (1, 7),
+            "n=6 h=1 k=2: enumerated 10 != 11",
+        ),
+        (
+            "check_cycle_oracle",
+            "cycle_count",
+            "cycle_count_k",
+            (7, 2, 2),
+            (2, 8),
+            "n=7 h=2 k=2: enumerated 7 != 8",
+        ),
+    ],
+)
+def test_per_size_counterexample_text(monkeypatch, check, total, count_k, at, bounds, counterexample):
+    _frozen(monkeypatch, counting, total, *bounds)
+    _off_by_one(monkeypatch, counting, count_k, at)
+    assert getattr(verify, check)(*bounds) == counterexample
+
+
+def test_enumeration_order_counterexample_text(monkeypatch):
+    real = graphs.enumerate_independent
+    cycle = graphs.power_cycle(4, 1)
+    monkeypatch.setattr(
+        graphs, "enumerate_independent", lambda g: real(g)[::-1] if g == cycle else real(g)
+    )
+    assert verify.check_enumeration_order(1, 5) == "n=4 h=1 cyclic=True: output not strictly sorted"
+
+
+def test_membership_counterexample_text(monkeypatch):
+    real = graphs.is_independent
+    monkeypatch.setattr(
+        graphs, "is_independent", lambda g, s: True if (s.n, s.bits) == (3, 0b101) else real(g, s)
+    )
+    assert verify.check_membership_equivalence(1, 4) == "n=3 h=1 cyclic=True mask=101"
+
+
+@pytest.mark.parametrize(
+    "tamper, counterexample",
+    [
+        (
+            lambda masks, covers: (masks, covers[:-1]),
+            "n=5 h=1 cyclic=True: covers 14 != weighted levels 15",
+        ),
+        (
+            lambda masks, covers: (masks, [covers[0][::-1]] + covers[1:]),
+            "n=5 h=1 cyclic=True: bad cover 10000 -> 00000",
+        ),
+        (
+            lambda masks, covers: (masks[1:2] + masks[1:], covers),
+            "n=5 h=1 cyclic=True: level 0 is not [empty]",
+        ),
+    ],
+)
+def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
+    real = cubes._hasse_masks
+    cycle = graphs.power_cycle(5, 1)
+
+    def tampered(g):
+        masks, covers = real(g)
+        return tamper(masks, covers) if g == cycle else (masks, covers)
+
+    monkeypatch.setattr(cubes, "_hasse_masks", tampered)
+    assert verify.check_hasse_grading(1, 6) == counterexample
+
+
+def test_pattern_cube_counterexample_text(monkeypatch):
+    real = cubes.avoiding_strings
+    def tampered(n, patterns, circular=False):
+        strings = real(n, patterns, circular)
+        return strings[:-1] if (n, circular) == (6, True) else strings
+
+    monkeypatch.setattr(cubes, "avoiding_strings", tampered)
+    assert verify.check_pattern_cubes(2, 7) == "n=6 h=2 circular=True: vertex sets differ"
+
+
+def test_checks_are_public_module_functions():
+    # perfbench/trace_child.py finds each check in verify under its own
+    # __name__ and rebinds it there; a partial or lambda would escape it.
+    for name, _, fn in verify.CHECKS:
+        assert isinstance(fn, types.FunctionType), name
+        assert fn.__module__ == verify.__name__, name
+        assert not fn.__name__.startswith("_"), name
+        assert getattr(verify, fn.__name__) is fn, name
+
+
+@pytest.mark.parametrize(
+    "check", ["check_hasse_grading", "check_path_cover_counts", "check_cycle_cover_counts"]
+)
+def test_cover_checks_count_from_masks(monkeypatch, check):
+    def refuse(g):
+        raise AssertionError("built a PosetDiagram only to count it")
+
+    monkeypatch.setattr(cubes, "hasse_diagram", refuse)
+    assert getattr(verify, check)(2, 8) is None
