@@ -9,6 +9,7 @@ so they can be cross-checked against each other and against the enumerator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -68,25 +69,6 @@ def path_count_clamped(n: int, h: int) -> int:
     return path_count(max(n, 0), h)
 
 
-def _recurrence(h: int, head: Sequence[int], addends: Iterator[int] | None = None) -> Iterator[int]:
-    """Yield `head` (at least h + 1 terms), then a(m) = a(m-1) + a(m-h-1),
-    plus the next of `addends` if given, forever.
-
-    Only the last h + 1 terms are kept, in a ring whose slot i holds the
-    oldest one, a(m-h-1), and slot i - 1 the newest, a(m-1).
-    """
-    window = list(head[-h - 1 :])
-    yield from head
-    i = 0
-    while True:
-        term = window[i - 1] + window[i]
-        if addends is not None:
-            term += next(addends)
-        window[i] = term
-        i = i + 1 if i < h else 0
-        yield term
-
-
 def _nth(terms: Iterator[Any], index: int) -> Any:
     """Term `index` (0-based) of an endless iterator."""
     for _, term in zip(range(index + 1), terms):
@@ -94,20 +76,38 @@ def _nth(terms: Iterator[Any], index: int) -> Any:
     return term
 
 
+def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
+    """(total, cover edges) for n = 0, 1, 2, ... in one pass: (n + 1, n)
+    while the power is complete (n <= h + 1 for the path, n <= 2h + 1 for the
+    cycle), then row(n) = row(n-1) + (t, e + t) with (t, e) = row(n-h-1), the
+    first two coefficients of C_n(x) = C_(n-1)(x) + (1 + x) C_(n-h-1)(x).
+
+    Only the last h + 1 rows are kept, in a ring whose slot i holds the
+    oldest one, row(n-h-1), and slot i - 1 the newest, row(n-1).
+    """
+    last = h + 1 if family == "path" else 2 * h + 1
+    ring = [(n + 1, n) for n in range(last - h, last + 1)]
+    yield from ((n + 1, n) for n in range(last + 1))
+    i = 0
+    while True:
+        (total, edges), (t, e) = ring[i - 1], ring[i]
+        ring[i] = row = (total + t, edges + e + t)
+        i = i + 1 if i < h else 0
+        yield row
+
+
 def path_count_rec(n: int, h: int) -> int:
-    """Total path-power count by recurrence only: n + 1 up to n = h + 1,
-    then each value is the sum of the values 1 and h + 1 steps back."""
+    """Total path-power count by recurrence only: the totals of `_rows`."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    return _nth(_recurrence(h, range(1, h + 3)), n)
+    return _nth(_rows("path", h), n)[0]
 
 
 def cycle_count_rec(n: int, h: int) -> int:
-    """Total cycle-power count by recurrence only: n + 1 up to n = 2h + 1,
-    then the same two-term recurrence as the path case."""
+    """Total cycle-power count by recurrence only: the totals of `_rows`."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    return _nth(_recurrence(h, range(1, 2 * h + 3)), n)
+    return _nth(_rows("cycle", h), n)[0]
 
 
 def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
@@ -190,8 +190,9 @@ class HFibSequence:
 
 
 def _hfib_terms(h: int) -> Iterator[int]:
-    """The endless order-h sequence t_1, t_2, ...: h + 1 ones, then the recurrence."""
-    return _recurrence(h, [1] * (h + 1))
+    """The endless order-h sequence t_1, t_2, ...: h ones, then the path
+    totals, t_i = p(i - h - 1)."""
+    return itertools.chain([1] * h, (total for total, _ in _rows("path", h)))
 
 
 def hfib(h: int, length: int) -> HFibSequence:
@@ -253,21 +254,6 @@ def cycle_hasse_edges(n: int, h: int) -> int:
     return _weighted_sum(cycle_count_k, n, h, 1)
 
 
-def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
-    """(total, cover edges) for n = 0, 1, 2, ... in one pass, from the
-    recurrences alone. Path edges follow e(n) = e(n-1) + e(n-h-1) + t_n with
-    e(m) = 0 for m <= 0, t the order-h sequence; cycle edges are n * t_(n-h)."""
-    t = _hfib_terms(h)
-    if family == "path":
-        edges = _recurrence(h, [0] * (h + 1), t)  # starts at e(-h)
-        for _ in range(h):
-            next(edges)
-        yield from zip(_recurrence(h, range(1, h + 3)), edges)
-    else:
-        for n, total in enumerate(_recurrence(h, range(1, 2 * h + 3))):
-            yield total, n if n <= h else n * next(t)
-
-
 def cycle_hasse_edges_closed(n: int, h: int) -> int:
     """Closed form for the cycle cover-edge count: n times the order-h
     sequence term at n - h.
@@ -278,7 +264,7 @@ def cycle_hasse_edges_closed(n: int, h: int) -> int:
     """
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    return _nth(_rows("cycle", h), n)[1]
+    return n if n <= h else n * _nth(_hfib_terms(h), n - h - 1)
 
 
 def fibonacci(n: int) -> int:

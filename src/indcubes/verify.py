@@ -390,9 +390,17 @@ def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
 
 
 def check_closed_form_agreement(h_max: int, n_max: int) -> str | None:
-    """Weighted-sum and closed-form cycle edge counts agree."""
-    routes = (counting.cycle_hasse_edges, counting.cycle_hasse_edges_closed)
-    return _routes_agree(h_max, n_max, routes, "sum {} != closed {}")
+    """Weighted-sum, closed-form and recurrence (the column that `table` and
+    `seq` print) cycle edge counts agree."""
+    for h in range(h_max + 1):
+        for n, (_, rows) in zip(range(n_max + 1), counting._rows("cycle", h)):
+            by_sum = counting.cycle_hasse_edges(n, h)
+            closed = counting.cycle_hasse_edges_closed(n, h)
+            if by_sum != closed:
+                return f"n={n} h={h}: sum {by_sum} != closed {closed}"
+            if by_sum != rows:
+                return f"n={n} h={h}: sum {by_sum} != rows {rows}"
+    return None
 
 
 def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
@@ -403,7 +411,7 @@ def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
         for i in range(1, len(seq) + 1):
             if seq.term(i) != counting.path_count_clamped(i - h - 1, h):
                 return f"h={h} i={i}: {seq.term(i)} != clamped total"
-        for i in range(1, h + 1):
+        for i in range(1, min(h, n_max) + 1):
             if seq.term(i) != 1:
                 return f"h={h} i={i}: leading term is {seq.term(i)}, not 1"
         for offset in range(n_max - h):
@@ -480,6 +488,14 @@ def check_divisibility(h_max: int, n_max: int) -> str | None:
     return None
 
 
+_CUBE_N_MAX = 14  # largest n of the bijection and cube sweeps, whatever is requested
+
+
+def _cube_bounds(h_cap: int):
+    """Bounds of the bijection and cube sweeps: h <= h_cap, n <= _CUBE_N_MAX."""
+    return lambda h, f, o: (min(h, h_cap), min(o, _CUBE_N_MAX))
+
+
 # Registry: (name, bounds, check function). bounds maps the requested h_max,
 # n_max_formula and n_max_oracle (h, f, o) to the (h_max, n_max) passed to the
 # check, applying the check's own limits: the order-1 cube checks and the
@@ -496,19 +512,15 @@ CHECKS = (
     ("independence-matches-enumeration", lambda h, f, o: (h, o), check_membership_equivalence),
     ("containing-vertex-row-sum", lambda h, f, o: (h, o), check_containing_row_sum),
     ("containing-vertex-column-sum", lambda h, f, o: (h, o), check_containing_column_sum),
-    ("bijection-roundtrip", lambda h, f, o: (min(h, 3), min(o, 14)), check_bijection_roundtrip),
+    ("bijection-roundtrip", _cube_bounds(3), check_bijection_roundtrip),
     ("hasse-cover-grading", lambda h, f, o: (h, o), check_hasse_grading),
     ("path-cover-counts", lambda h, f, o: (h, o), check_path_cover_counts),
     ("cycle-cover-counts", lambda h, f, o: (h, o), check_cycle_cover_counts),
-    ("fibonacci-cube-structure", lambda h, f, o: (min(h, 1), min(o, 14)), check_fibonacci_cube),
-    ("lucas-cube-structure", lambda h, f, o: (min(h, 1), min(o, 14)), check_lucas_cube),
-    ("pattern-cube-identity", lambda h, f, o: (min(h, 3), min(o, 14)), check_pattern_cubes),
-    (
-        "single-pattern-cube-identity",
-        lambda h, f, o: (min(h, 1), min(o, 14)),
-        check_single_pattern_cubes,
-    ),
-    ("cube-edges-comparable", lambda h, f, o: (min(h, 1), min(o, 14)), check_cube_edges_comparable),
+    ("fibonacci-cube-structure", _cube_bounds(1), check_fibonacci_cube),
+    ("lucas-cube-structure", _cube_bounds(1), check_lucas_cube),
+    ("pattern-cube-identity", _cube_bounds(3), check_pattern_cubes),
+    ("single-pattern-cube-identity", _cube_bounds(1), check_single_pattern_cubes),
+    ("cube-edges-comparable", _cube_bounds(1), check_cube_edges_comparable),
     ("path-recurrence-agreement", lambda h, f, o: (h, f), check_path_recurrence),
     ("cycle-recurrence-agreement", lambda h, f, o: (h, f), check_cycle_recurrence),
     ("edge-convolution-agreement", lambda h, f, o: (h, f), check_convolution_agreement),

@@ -344,7 +344,21 @@ class TestRecurrenceRows:
             before = tracemalloc.get_traced_memory()[0]
             counting.path_count_rec(20000, 1)
             counting.hfib(1, 20000)
+            counting.cycle_hasse_edges_closed(20000, 1)
+            counting.cycle_count_rec(20000, 2)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert retained < 64 * 1024
+
+    def test_closed_cycle_edges_do_not_read_cycle_rows(self, monkeypatch):
+        real = counting._rows
+
+        def path_only(family, h):
+            if family == "cycle":
+                raise AssertionError("closed form read the cycle rows")
+            return real(family, h)
+
+        monkeypatch.setattr(counting, "_rows", path_only)
+        assert counting.cycle_hasse_edges_closed(7, 2) == 21
+        assert counting.cycle_hasse_edges_closed(3, 2) == 3

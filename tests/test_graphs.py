@@ -80,6 +80,20 @@ class TestPowerGraphs:
         assert power_path(n, h).edge_count() == brute_edge_count(n, h, cyclic=False)
         assert power_cycle(n, h).edge_count() == brute_edge_count(n, h, cyclic=True)
 
+    def test_has_edge(self):
+        g = power_cycle(6, 2)
+        assert g.has_edge(1, 3) and g.has_edge(3, 1)
+        assert g.has_edge(1, 6) and g.has_edge(6, 1)  # wraps around
+        assert not g.has_edge(1, 4) and not g.has_edge(4, 1)
+        assert not g.has_edge(2, 2)
+        edges = set(g.edges())
+        for i in range(1, 7):
+            for j in range(1, 7):
+                assert g.has_edge(i, j) == g.has_edge(j, i) == ((min(i, j), max(i, j)) in edges)
+        for i, j in [(0, 1), (1, 0), (7, 1), (1, 7)]:
+            with pytest.raises(ValueError):
+                g.has_edge(i, j)
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, (0b10,) * 1)  # wrong row count

@@ -289,3 +289,41 @@ def test_cover_checks_count_from_masks(monkeypatch, check):
 
     monkeypatch.setattr(cubes, "hasse_diagram", refuse)
     assert getattr(verify, check)(2, 8) is None
+
+
+def _bumped_rows(monkeypatch, family, column, n_at, h_at):
+    """Make counting._rows(family, h_at) yield one more in `column` at row n_at."""
+    real = counting._rows
+
+    def bumped(fam, h):
+        for n, row in enumerate(real(fam, h)):
+            if (fam, n, h) == (family, n_at, h_at):
+                row = tuple(v + (i == column) for i, v in enumerate(row))
+            yield row
+
+    monkeypatch.setattr(counting, "_rows", bumped)
+
+
+@pytest.mark.parametrize(
+    "family, column, n, h",
+    [("path", 0, 9, 3), ("cycle", 0, 9, 3), ("path", 1, 6, 2), ("cycle", 1, 7, 2)],
+)
+def test_every_printed_column_is_verified(monkeypatch, family, column, n, h):
+    # `table` and `seq` print both columns of _rows for both families; a
+    # fault in any one value must fail the default-shaped sweep.
+    _bumped_rows(monkeypatch, family, column, n, h)
+    report = verify.run_all(4, 40, 6)
+    assert not report.overall
+    assert all(c.counterexample for c in report.checks if not c.ok)
+
+
+def test_closed_form_check_names_the_rows_value(monkeypatch):
+    _bumped_rows(monkeypatch, "cycle", 1, 7, 2)
+    assert verify.check_closed_form_agreement(2, 8) == "n=7 h=2: sum 21 != rows 22"
+
+
+@pytest.mark.parametrize("h", range(1, 6))
+def test_hfib_prefix_with_fewer_terms_than_leading_ones(h):
+    for f in range(h):
+        assert verify.check_hfib_prefix(h, f) is None
+        assert verify.run_all(h, f, 2).overall
