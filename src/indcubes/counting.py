@@ -83,11 +83,12 @@ def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
     first two coefficients of C_n(x) = C_(n-1)(x) + (1 + x) C_(n-h-1)(x).
 
     Only the last h + 1 rows are kept, in a ring whose slot i holds the
-    oldest one, row(n-h-1), and slot i - 1 the newest, row(n-1).
+    oldest one, row(n-h-1), and slot i - 1 the newest, row(n-1). The ring is
+    built after the head, so memory follows the rows asked for, not h.
     """
     last = h + 1 if family == "path" else 2 * h + 1
-    ring = [(n + 1, n) for n in range(last - h, last + 1)]
     yield from ((n + 1, n) for n in range(last + 1))
+    ring = [(n + 1, n) for n in range(last - h, last + 1)]
     i = 0
     while True:
         (total, edges), (t, e) = ring[i - 1], ring[i]
@@ -192,7 +193,7 @@ class HFibSequence:
 def _hfib_terms(h: int) -> Iterator[int]:
     """The endless order-h sequence t_1, t_2, ...: h ones, then the path
     totals, t_i = p(i - h - 1)."""
-    return itertools.chain([1] * h, (total for total, _ in _rows("path", h)))
+    return itertools.chain(itertools.repeat(1, h), (total for total, _ in _rows("path", h)))
 
 
 def hfib(h: int, length: int) -> HFibSequence:

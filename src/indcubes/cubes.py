@@ -128,9 +128,16 @@ def _hamming_cube(vertices: Sequence[VertexSubset]) -> SimpleGraph:
 
 
 def fibonacci_strings(n: int) -> list[VertexSubset]:
-    """Binary strings of length n with no two consecutive ones, canonical order."""
+    """Binary strings of length n with no two consecutive ones, canonical order.
+
+    Length-k strings are the length-(k-1) ones followed by 0, plus the
+    length-(k-2) ones followed by 01, so the cost follows the answer, not 2^n.
+    """
     _check_cube_order(n)
-    return _canonical([m for m in range(1 << n) if not (m & (m >> 1))], n)
+    shorter, masks = [0], [0]  # at k = 1 the shorter [0] stands for "" before "1"
+    for k in range(1, n + 1):
+        shorter, masks = masks, masks + [m | 1 << (k - 1) for m in shorter]
+    return _canonical(masks, n)
 
 
 def lucas_strings(n: int) -> list[VertexSubset]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Iterator
 
 from . import counting, cubes, graphs
 
@@ -32,18 +33,7 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "ok": c.ok,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
 
     def render_text(self) -> str:
         lines = []
@@ -57,9 +47,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _powers(n: int, h: int) -> tuple[tuple[bool, graphs.SimpleGraph], ...]:
-    """(cyclic, graph) for the h-power of the n-path, then of the n-cycle."""
-    return ((False, graphs.power_path(n, h)), (True, graphs.power_cycle(n, h)))
+def _powers(hs: range, n_max: int) -> Iterator[tuple[int, int, bool, graphs.SimpleGraph]]:
+    """(n, h, cyclic, graph) for each h in hs and n <= n_max: the h-power of
+    the n-path, then of the n-cycle."""
+    for h in hs:
+        for n in range(n_max + 1):
+            yield n, h, False, graphs.power_path(n, h)
+            yield n, h, True, graphs.power_cycle(n, h)
 
 
 # Shared sweep bodies. Each check passes its routes in, read from their
@@ -94,6 +88,24 @@ def _routes_agree(h_max: int, n_max: int, routes, template: str) -> str | None:
 def _cover_count(build):
     """Route: the number of covers in the mask-level diagram of build(n, h)."""
     return lambda n, h: len(cubes._hasse_masks(build(n, h))[1])
+
+
+def _cube(strings: list[graphs.VertexSubset], n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The cube on the given length-n strings as `export` builds it: the
+    masks, and the Hamming-1 index pairs between them. For canonical strings
+    both lists are in the order of `cubes._hasse_masks`, so equal lists mean
+    the same labelled graph."""
+    masks = [s.bits for s in strings]
+    return masks, cubes._hamming_pairs(masks, n)
+
+
+def _containing_table(n: int, h: int) -> list[list[int]]:
+    """path_count_k_containing(n, h, k, i): one row per k = 1..max size + 1,
+    one column per vertex i = 1..n."""
+    return [
+        [counting.path_count_k_containing(n, h, k, i) for i in range(1, n + 1)]
+        for k in range(1, counting._max_size(n, h) + 2)
+    ]
 
 
 # --- oracle-scale checks (bounded by n_max_oracle) -------------------------
@@ -138,27 +150,21 @@ def check_cycle_regularity(h_max: int, n_max: int) -> str | None:
 
 def check_enumeration_order(h_max: int, n_max: int) -> str | None:
     """Enumeration output is strictly sorted by (cardinality, mask value)."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            for cyclic, g in _powers(n, h):
-                subsets = graphs.enumerate_independent(g)
-                keys = [s.sort_key() for s in subsets]
-                if any(a >= b for a, b in zip(keys, keys[1:])):
-                    return f"n={n} h={h} cyclic={cyclic}: output not strictly sorted"
+    for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
+        keys = [s.sort_key() for s in graphs.enumerate_independent(g)]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            return f"n={n} h={h} cyclic={cyclic}: output not strictly sorted"
     return None
 
 
 def check_membership_equivalence(h_max: int, n_max: int) -> str | None:
     """is_independent agrees with membership in the enumeration, over the
     full power set of small graphs."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            for cyclic, g in _powers(n, h):
-                enumerated = {s.bits for s in graphs.enumerate_independent(g)}
-                for m in range(1 << n):
-                    s = graphs.VertexSubset(m, n)
-                    if graphs.is_independent(g, s) != (m in enumerated):
-                        return f"n={n} h={h} cyclic={cyclic} mask={m:b}"
+    for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
+        enumerated = {s.bits for s in graphs.enumerate_independent(g)}
+        for m in range(1 << n):
+            if graphs.is_independent(g, graphs.VertexSubset(m, n)) != (m in enumerated):
+                return f"n={n} h={h} cyclic={cyclic} mask={m:b}"
     return None
 
 
@@ -167,15 +173,10 @@ def check_containing_row_sum(h_max: int, n_max: int) -> str | None:
     k times."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for k in range(1, counting._max_size(n, h) + 2):
-                total = sum(
-                    counting.path_count_k_containing(n, h, k, i) for i in range(1, n + 1)
-                )
-                if total != k * counting.path_count_k(n, h, k):
-                    return (
-                        f"n={n} h={h} k={k}: {total} != "
-                        f"{k * counting.path_count_k(n, h, k)}"
-                    )
+            for k, row in enumerate(_containing_table(n, h), 1):
+                expect = k * counting.path_count_k(n, h, k)
+                if sum(row) != expect:
+                    return f"n={n} h={h} k={k}: {sum(row)} != {expect}"
     return None
 
 
@@ -184,11 +185,8 @@ def check_containing_column_sum(h_max: int, n_max: int) -> str | None:
     two independent path segments."""
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            for i in range(1, n + 1):
-                total = sum(
-                    counting.path_count_k_containing(n, h, k, i)
-                    for k in range(1, counting._max_size(n, h) + 2)
-                )
+            for i, column in enumerate(zip(*_containing_table(n, h)), 1):
+                total = sum(column)
                 expect = counting.path_count_clamped(i - h - 1, h) * counting.path_count_clamped(
                     n - h - i, h
                 )
@@ -222,25 +220,20 @@ def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
 def check_hasse_grading(h_max: int, n_max: int) -> str | None:
     """Diagram levels start at the empty set, covers go up one level within
     inclusion, and the cover count is the k-weighted sum of level sizes."""
-    for h in range(h_max + 1):
-        for n in range(n_max + 1):
-            for cyclic, g in _powers(n, h):
-                masks, covers = cubes._hasse_masks(g)
-                if masks.count(0) != 1:
-                    return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
-                for i, j in covers:
-                    low, high = masks[i], masks[j]
-                    if low & ~high or high.bit_count() != low.bit_count() + 1:
-                        return (
-                            f"n={n} h={h} cyclic={cyclic}: bad cover "
-                            f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
-                        )
-                weighted = sum(m.bit_count() for m in masks)
-                if len(covers) != weighted:
-                    return (
-                        f"n={n} h={h} cyclic={cyclic}: covers {len(covers)} "
-                        f"!= weighted levels {weighted}"
-                    )
+    for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
+        masks, covers = cubes._hasse_masks(g)
+        if masks.count(0) != 1:
+            return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
+        for i, j in covers:
+            low, high = masks[i], masks[j]
+            if low & ~high or high.bit_count() != low.bit_count() + 1:
+                return (
+                    f"n={n} h={h} cyclic={cyclic}: bad cover "
+                    f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
+                )
+        weighted = sum(m.bit_count() for m in masks)
+        if len(covers) != weighted:
+            return f"n={n} h={h} cyclic={cyclic}: covers {len(covers)} != weighted levels {weighted}"
     return None
 
 
@@ -270,19 +263,15 @@ def check_fibonacci_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        strings = cubes.fibonacci_strings(n)
-        cube = cubes.fibonacci_cube(n)
-        if cube.n != counting.fibonacci(n + 2):
-            return f"n={n}: {cube.n} vertices != F_{n + 2}"
+        masks, pairs = _cube(cubes.fibonacci_strings(n), n)
+        if len(masks) != counting.fibonacci(n + 2):
+            return f"n={n}: {len(masks)} vertices != F_{n + 2}"
         edges_expected = sum(
             counting.fibonacci(i) * counting.fibonacci(n - i + 1) for i in range(1, n + 1)
         )
-        if cube.edge_count() != edges_expected:
-            return f"n={n}: {cube.edge_count()} edges != {edges_expected}"
-        d = cubes.hasse_diagram(graphs.power_path(n, 1))
-        labels = [s.to_string() for s in strings]
-        d_labels = [s.to_string() for s in d.nodes()]
-        if not cubes.same_labeled_graph(cube, labels, cubes.diagram_as_graph(d), d_labels):
+        if len(pairs) != edges_expected:
+            return f"n={n}: {len(pairs)} edges != {edges_expected}"
+        if (masks, pairs) != cubes._hasse_masks(graphs.power_path(n, 1)):
             return f"n={n}: cube differs from the path-power diagram"
     return None
 
@@ -293,16 +282,12 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(2, n_max + 1):
-        strings = cubes.lucas_strings(n)
-        cube = cubes.lucas_cube(n)
-        if cube.n != counting.lucas(n):
-            return f"n={n}: {cube.n} vertices != L_{n}"
-        if cube.edge_count() != n * counting.fibonacci(n - 1):
-            return f"n={n}: {cube.edge_count()} edges != {n * counting.fibonacci(n - 1)}"
-        d = cubes.hasse_diagram(graphs.power_cycle(n, 1))
-        labels = [s.to_string() for s in strings]
-        d_labels = [s.to_string() for s in d.nodes()]
-        if not cubes.same_labeled_graph(cube, labels, cubes.diagram_as_graph(d), d_labels):
+        masks, pairs = _cube(cubes.lucas_strings(n), n)
+        if len(masks) != counting.lucas(n):
+            return f"n={n}: {len(masks)} vertices != L_{n}"
+        if len(pairs) != n * counting.fibonacci(n - 1):
+            return f"n={n}: {len(pairs)} edges != {n * counting.fibonacci(n - 1)}"
+        if (masks, pairs) != cubes._hasse_masks(graphs.power_cycle(n, 1)):
             return f"n={n}: cube differs from the cycle-power diagram"
     return None
 
@@ -310,14 +295,10 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
 def check_pattern_cubes(h_max: int, n_max: int) -> str | None:
     """Avoiding the h-power pattern set linearly (circularly) yields exactly
     the independence strings of the path (cycle) power, for 2 <= h <= h_max."""
-    for h in range(2, h_max + 1):
-        patterns = cubes.power_patterns(h)
-        for n in range(n_max + 1):
-            for cyclic, g in _powers(n, h):
-                want = [s.to_string() for s in graphs.enumerate_independent(g)]
-                got = [s.to_string() for s in cubes.avoiding_strings(n, patterns, cyclic)]
-                if got != want:
-                    return f"n={n} h={h} circular={cyclic}: vertex sets differ"
+    for n, h, cyclic, g in _powers(range(2, h_max + 1), n_max):
+        got = cubes.avoiding_strings(n, cubes.power_patterns(h), cyclic)
+        if got != graphs.enumerate_independent(g):
+            return f"n={n} h={h} circular={cyclic}: vertex sets differ"
     return None
 
 
@@ -326,24 +307,19 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
     gives the Lucas cube for n >= 2."""
     if h_max < 1:
         return None
+    halves = (
+        ("linear", False, "Fibonacci", cubes.fibonacci_strings, cubes.fibonacci_cube),
+        ("circular", True, "Lucas", cubes.lucas_strings, cubes.lucas_cube),
+    )
     for n in range(n_max + 1):
-        lin = [s.to_string() for s in cubes.avoiding_strings(n, ["11"], circular=False)]
-        fib = [s.to_string() for s in cubes.fibonacci_strings(n)]
-        if lin != fib:
-            return f"n={n}: linear 11-avoiders differ from Fibonacci strings"
-        if not cubes.same_labeled_graph(
-            cubes.generalized_cube(n, ["11"]), lin, cubes.fibonacci_cube(n), fib
-        ):
-            return f"n={n}: linear 11-cube differs from the Fibonacci cube"
-        if n >= 2:
-            circ = [s.to_string() for s in cubes.avoiding_strings(n, ["11"], circular=True)]
-            luc = [s.to_string() for s in cubes.lucas_strings(n)]
-            if circ != luc:
-                return f"n={n}: circular 11-avoiders differ from Lucas strings"
-            if not cubes.same_labeled_graph(
-                cubes.generalized_cube(n, ["11"], circular=True), circ, cubes.lucas_cube(n), luc
-            ):
-                return f"n={n}: circular 11-cube differs from the Lucas cube"
+        for mode, circular, name, strings, cube in halves:
+            if circular and n < 2:
+                continue
+            if cubes.avoiding_strings(n, ["11"], circular) != strings(n):
+                return f"n={n}: {mode} 11-avoiders differ from {name} strings"
+            # equal string lists, so graph equality is labelled-graph equality
+            if cubes.generalized_cube(n, ["11"], circular) != cube(n):
+                return f"n={n}: {mode} 11-cube differs from the {name} cube"
     return None
 
 
@@ -353,12 +329,12 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        strings = cubes.fibonacci_strings(n)
-        cube = cubes.fibonacci_cube(n)
-        for i, j in cube.edges():
-            a, b = strings[i - 1].bits, strings[j - 1].bits
+        masks, pairs = _cube(cubes.fibonacci_strings(n), n)
+        for i, j in pairs:
+            a, b = masks[i], masks[j]
             if (a | b) not in (a, b):
-                return f"n={n}: edge joins incomparable strings {a:b}, {b:b}"
+                a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
+                return f"n={n}: edge joins incomparable strings {a}, {b}"
     return None
 
 

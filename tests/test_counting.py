@@ -351,6 +351,30 @@ class TestRecurrenceRows:
             tracemalloc.stop()
         assert retained < 64 * 1024
 
+    @staticmethod
+    def _peak(fn):
+        """Peak bytes traced while fn runs."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda: list(zip(range(3), counting._rows("path", 200_000))),
+            lambda: counting.cycle_count_rec(5, 200_000),
+            lambda: counting.hfib(10**6, 3),
+            lambda: counting.cycle_hasse_edges_closed(10**6 + 3, 10**6),
+        ],
+        ids=["rows-head", "cycle-rec-head", "hfib-prefix", "closed-edges-head"],
+    )
+    def test_memory_follows_rows_asked_for_not_h(self, fn):
+        # A few leading terms of a huge order must not allocate O(h).
+        assert self._peak(fn) < 64 * 1024
+
     def test_closed_cycle_edges_do_not_read_cycle_rows(self, monkeypatch):
         real = counting._rows
 

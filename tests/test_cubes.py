@@ -113,6 +113,16 @@ class TestFibonacciCube:
             assert g.n == counting.path_count(n, 1)
             assert g.edge_count() == counting.path_hasse_edges(n, 1)
 
+    def test_strings_match_bit_scan(self):
+        # reference: test every mask of width n for two adjacent ones
+        for n in range(0, 21):
+            want = sorted(
+                (m for m in range(1 << n) if not (m & (m >> 1))), key=lambda m: (m.bit_count(), m)
+            )
+            strings = fibonacci_strings(n)
+            assert [s.bits for s in strings] == want
+            assert all(s.n == n for s in strings)
+
 
 class TestLucasCube:
     def test_vertex_counts(self):

@@ -281,14 +281,102 @@ def test_checks_are_public_module_functions():
 
 
 @pytest.mark.parametrize(
-    "check", ["check_hasse_grading", "check_path_cover_counts", "check_cycle_cover_counts"]
+    "check",
+    [
+        "check_hasse_grading",
+        "check_path_cover_counts",
+        "check_cycle_cover_counts",
+        "check_fibonacci_cube",
+        "check_lucas_cube",
+        "check_single_pattern_cubes",
+        "check_cube_edges_comparable",
+    ],
 )
 def test_cover_checks_count_from_masks(monkeypatch, check):
-    def refuse(g):
-        raise AssertionError("built a PosetDiagram only to count it")
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a diagram object only to count or compare it")
 
-    monkeypatch.setattr(cubes, "hasse_diagram", refuse)
+    for name in ("hasse_diagram", "diagram_as_graph", "same_labeled_graph"):
+        monkeypatch.setattr(cubes, name, refuse)
     assert getattr(verify, check)(2, 8) is None
+
+
+def _drop_last(result):
+    return result[:-1]
+
+
+@pytest.mark.parametrize(
+    "check, route, when, tamper, counterexample",
+    [
+        (
+            "check_fibonacci_cube",
+            "fibonacci_strings",
+            lambda n: n == 4,
+            _drop_last,
+            "n=4: 7 vertices != F_6",
+        ),
+        (
+            "check_fibonacci_cube",
+            "_hamming_pairs",
+            lambda masks, n: n == 4,
+            _drop_last,
+            "n=4: 9 edges != 10",
+        ),
+        (
+            "check_lucas_cube",
+            "_hasse_masks",
+            lambda g: g == graphs.power_cycle(5, 1),
+            lambda result: (result[0], result[1][:-1]),
+            "n=5: cube differs from the cycle-power diagram",
+        ),
+        (
+            "check_lucas_cube",
+            "lucas_strings",
+            lambda n: n == 6,
+            _drop_last,
+            "n=6: 17 vertices != L_6",
+        ),
+        (
+            "check_single_pattern_cubes",
+            "avoiding_strings",
+            lambda n, patterns, circular=False: (n, circular) == (5, True),
+            _drop_last,
+            "n=5: circular 11-avoiders differ from Lucas strings",
+        ),
+        (
+            "check_single_pattern_cubes",
+            "generalized_cube",
+            lambda n, patterns, circular=False: n == 3,
+            lambda g: graphs.SimpleGraph(g.n, (0,) * g.n),
+            "n=3: linear 11-cube differs from the Fibonacci cube",
+        ),
+        (
+            "check_cube_edges_comparable",
+            "_hamming_pairs",
+            lambda masks, n: n == 3,
+            lambda pairs: pairs + [(1, 2)],
+            "n=3: edge joins incomparable strings 100, 010",
+        ),
+    ],
+    ids=[
+        "fib-strings",
+        "fib-pairs",
+        "lucas-diagram",
+        "lucas-strings",
+        "circular-avoiders",
+        "edgeless-cube",
+        "incomparable-edge",
+    ],
+)
+def test_cube_counterexample_text(monkeypatch, check, route, when, tamper, counterexample):
+    real = getattr(cubes, route)
+
+    def tampered(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return tamper(result) if when(*args, **kwargs) else result
+
+    monkeypatch.setattr(cubes, route, tampered)
+    assert getattr(verify, check)(1, 7) == counterexample
 
 
 def _bumped_rows(monkeypatch, family, column, n_at, h_at):
