@@ -23,9 +23,7 @@ def binom(m: int, k: int) -> int:
     Returns 0 for k < 0, m < 0, or k > m, so every displayed sum over k can
     be evaluated verbatim without guarding its bounds.
     """
-    if k < 0 or m < 0 or k > m:
-        return 0
-    return math.comb(m, k)
+    return math.comb(m, k) if 0 <= k <= m else 0
 
 
 def path_count_k(n: int, h: int, k: int) -> int:
@@ -129,25 +127,24 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
         prev = idx
     if k and not (1 <= indices[0] and indices[-1] <= upper):
         raise ValueError(f"indices must lie in 1..{upper} for k={k}")
-    vertices = [idx + j * h for j, idx in enumerate(indices)]
-    return VertexSubset.from_vertices(vertices, n)
+    return VertexSubset(sum(1 << (idx + j * h - 1) for j, idx in enumerate(indices)), n)
 
 
 def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
     """Map an independent subset of the path power back to packed indices.
 
-    Rejects subsets that are not independent (two members at most h apart);
-    on independent input the j-th
-    vertex shifted down by (j-1)*h lands strictly increasing in 1..n-h*k+h.
+    The j-th vertex is shifted down by (j-1)*h. The indices increase strictly
+    iff consecutive members are more than h apart, so any other subset is
+    rejected as not independent; independent ones land in 1..n-h*k+h.
     """
     if s.n != n:
         raise ValueError(f"subset width {s.n} != n={n}")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    vertices = s.vertices()
-    if any(b - a <= h for a, b in zip(vertices, vertices[1:])):
+    indices = [v - j * h for j, v in enumerate(s.vertices())]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError("subset is not independent in the path power")
-    return [v - j * h for j, v in enumerate(vertices)]
+    return indices
 
 
 def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:

@@ -18,7 +18,7 @@ from .graphs import (
     VertexSubset,
     _canonical,
     _check_pattern,
-    enumerate_independent,
+    _independent_masks,
 )
 
 #: Node counts grow like the total independent-subset count, so diagram and
@@ -62,7 +62,7 @@ def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[tuple[int, int]]]:
     """
     if g.n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={g.n} exceeds the diagram cap of {MAX_CUBE_ORDER}")
-    masks = [s.bits for s in enumerate_independent(g)]
+    masks = _independent_masks(g)
     index = {m: i for i, m in enumerate(masks)}
     closed = [(row | (1 << v), 1 << v) for v, row in enumerate(g.adj)]
     covers = [

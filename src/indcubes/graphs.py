@@ -3,6 +3,7 @@ independent-subset enumerator used to cross-check every counting formula."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -55,7 +56,13 @@ class VertexSubset:
 
     def vertices(self) -> tuple[int, ...]:
         """Members as 1-based vertex numbers, ascending."""
-        return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
+        out = []
+        m = self.bits
+        while m:
+            low = m & -m
+            out.append(low.bit_length())
+            m ^= low
+        return tuple(out)
 
     def to_string(self) -> str:
         """The binary string b_1...b_n (b_i = 1 iff v_i is a member)."""
@@ -173,38 +180,45 @@ def is_independent(g: SimpleGraph, s: VertexSubset) -> bool:
     """True iff no two members of s are adjacent in g."""
     if s.n != g.n:
         raise ValueError(f"subset width {s.n} != graph order {g.n}")
-    bits = s.bits
-    i = 0
-    m = bits
+    bits = m = s.bits
     while m:
-        if m & 1 and g.adj[i] & bits:
+        low = m & -m
+        if g.adj[low.bit_length() - 1] & bits:
             return False
-        m >>= 1
-        i += 1
+        m ^= low
     return True
 
 
 def enumerate_independent(g: SimpleGraph) -> list[VertexSubset]:
     """All independent subsets of g, sorted by (cardinality, mask value).
 
-    Pruned backtracking over the adjacency masks; cost grows with the number
-    of independent subsets, so keep g.n at desk scale (<= ~24). The empty
-    subset is always present.
+    Cost grows with the number of independent subsets, so keep g.n at desk
+    scale (<= ~24). The empty subset is always present.
+    """
+    return [VertexSubset(m, g.n) for m in _independent_masks(g)]
+
+
+def _independent_masks(g: SimpleGraph) -> list[int]:
+    """The independent masks of g in canonical (cardinality, mask) order.
+
+    Built level by level: each (k+1)-set is a k-set plus one vertex v above
+    its top member. Taking v upward, and for each v the k-sets below 1 << v
+    upward, yields every level already ascending, so nothing is sorted.
     """
     if g.n > MAX_VERTICES:
         raise CapacityError(f"n={g.n} exceeds the {MAX_VERTICES}-vertex capacity")
-    adj = g.adj
-    n = g.n
-    found: list[int] = []
-
-    def extend(start: int, chosen: int) -> None:
-        found.append(chosen)
-        for v in range(start, n):
-            if not (adj[v] & chosen):
-                extend(v + 1, chosen | (1 << v))
-
-    extend(0, 0)
-    return _canonical(found, n)
+    bits = [1 << v for v in range(g.n)]
+    level = [0]
+    masks = [0]
+    while level:
+        level = [
+            m | bit
+            for bit, row in zip(bits, g.adj)
+            for m in level[: bisect_left(level, bit)]
+            if not row & m
+        ]
+        masks += level
+    return masks
 
 
 def _mask_string(bits: int, n: int) -> str:

@@ -64,10 +64,10 @@ def _powers(hs: range, n_max: int) -> Iterator[tuple[int, int, bool, graphs.Simp
 def _oracle_sweep(h_max: int, n_max: int, build, total, count_k) -> str | None:
     for h in range(h_max + 1):
         for n in range(n_max + 1):
-            subsets = graphs.enumerate_independent(build(n, h))
-            if len(subsets) != total(n, h):
-                return f"n={n} h={h}: total {len(subsets)} != {total(n, h)}"
-            hist = Counter(s.cardinality for s in subsets)
+            masks = graphs._independent_masks(build(n, h))
+            if len(masks) != total(n, h):
+                return f"n={n} h={h}: total {len(masks)} != {total(n, h)}"
+            hist = Counter(m.bit_count() for m in masks)
             for k in range(counting._max_size(n, h) + 2):
                 if hist[k] != count_k(n, h, k):
                     return f"n={n} h={h} k={k}: enumerated {hist[k]} != {count_k(n, h, k)}"
@@ -161,10 +161,10 @@ def check_membership_equivalence(h_max: int, n_max: int) -> str | None:
     """is_independent agrees with membership in the enumeration, over the
     full power set of small graphs."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
-        enumerated = {s.bits for s in graphs.enumerate_independent(g)}
+        enumerated = set(graphs._independent_masks(g))
         for m in range(1 << n):
             if graphs.is_independent(g, graphs.VertexSubset(m, n)) != (m in enumerated):
-                return f"n={n} h={h} cyclic={cyclic} mask={m:b}"
+                return f"n={n} h={h} cyclic={cyclic} mask={graphs._mask_string(m, n)}"
     return None
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from indcubes import counting
-from indcubes.graphs import VertexSubset, enumerate_independent, is_independent, power_path
+from indcubes.graphs import CapacityError, VertexSubset, enumerate_independent, is_independent, power_path
 
 from conftest import brute_cover_count, brute_histogram, brute_independent_sets
 
@@ -92,6 +92,31 @@ class TestIndexBijection:
             counting.indices_to_subset(5, 2, [0, 1])
         with pytest.raises(ValueError):
             counting.indices_to_subset(5, 2, [1, 4])  # 4 > 5 - 2*2 + 2
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: counting.indices_to_subset(5, 2, [2, 2]), "indices not strictly increasing at 2"),
+            (lambda: counting.indices_to_subset(5, 2, [0, 1]), "indices not strictly increasing at 0"),
+            (lambda: counting.indices_to_subset(5, 2, [1, 4]), "indices must lie in 1..3 for k=2"),
+            (lambda: counting.indices_to_subset(6, 1, [1, 7]), "indices must lie in 1..5 for k=2"),
+            (
+                lambda: counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 3], 5)),
+                "subset is not independent in the path power",
+            ),
+            (lambda: counting.subset_to_indices(5, 1, VertexSubset(0, 4)), "subset width 4 != n=5"),
+            (lambda: counting.subset_to_indices(3, -1, VertexSubset(0, 3)), "h must be nonnegative"),
+        ],
+    )
+    def test_error_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            counting.indices_to_subset(65, 0, [1])
+        assert counting.indices_to_subset(64, 0, [64]).vertices() == (64,)
 
     def test_rejects_dependent_subset(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from indcubes.graphs import (
     CapacityError,
     SimpleGraph,
     VertexSubset,
+    _independent_masks,
     contains_pattern,
     enumerate_independent,
     hamming,
@@ -15,6 +19,31 @@ from indcubes.graphs import (
 )
 
 from conftest import brute_edge_count, brute_independent_sets
+
+
+def reference_masks(g):
+    """Independent masks of g by pruned backtracking, then a sort by
+    (cardinality, mask): a second route to the canonical enumeration."""
+    found = []
+
+    def extend(start, chosen):
+        found.append(chosen)
+        for v in range(start, g.n):
+            if not g.adj[v] & chosen:
+                extend(v + 1, chosen | (1 << v))
+
+    extend(0, 0)
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def random_graphs(count, n_max, seed):
+    """Seeded random graphs on 0..n_max vertices, edge density 0 to 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, n_max)
+        density = rng.choice([0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
+        pairs = combinations(range(1, n + 1), 2)
+        yield SimpleGraph.from_edges(n, [e for e in pairs if rng.random() < density])
 
 
 class TestVertexSubset:
@@ -28,6 +57,14 @@ class TestVertexSubset:
     def test_from_vertices(self):
         assert VertexSubset.from_vertices([2, 4], 5).to_string() == "01010"
         assert VertexSubset.from_vertices([], 0).to_string() == ""
+
+    def test_vertices_walk_set_bits(self):
+        assert VertexSubset(0, 0).vertices() == ()
+        assert VertexSubset(1 << 63, 64).vertices() == (64,)
+        assert VertexSubset((1 << 64) - 1, 64).vertices() == tuple(range(1, 65))
+        for m in range(1 << 9):
+            want = tuple(i + 1 for i in range(9) if m >> i & 1)
+            assert VertexSubset(m, 9).vertices() == want
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -120,6 +157,13 @@ class TestIndependence:
         with pytest.raises(ValueError):
             is_independent(power_path(5, 1), VertexSubset(0, 4))
 
+    def test_matches_pairwise_scan(self):
+        for g in random_graphs(40, 10, seed=7):
+            for m in range(1 << g.n):
+                members = [i + 1 for i in range(g.n) if m >> i & 1]
+                want = not any(g.has_edge(i, j) for i, j in combinations(members, 2))
+                assert is_independent(g, VertexSubset(m, g.n)) == want
+
 
 class TestEnumeration:
     def test_empty_graph(self):
@@ -163,6 +207,29 @@ class TestEnumeration:
             count_k = counting.cycle_count_k if cyclic else counting.path_count_k
             for k in range(18):
                 assert hist.get(k, 0) == count_k(16, h, k)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("h", range(0, 5))
+    def test_matches_reference_in_order_on_powers(self, h, cyclic):
+        for n in range(15):
+            g = power_cycle(n, h) if cyclic else power_path(n, h)
+            want = reference_masks(g)
+            assert _independent_masks(g) == want
+            assert [s.bits for s in enumerate_independent(g)] == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_in_order_on_random_graphs(self, seed):
+        for g in random_graphs(100, 12, seed):
+            want = reference_masks(g)
+            assert _independent_masks(g) == want
+            assert [s.bits for s in enumerate_independent(g)] == want
+
+    def test_capacity_checked_before_work(self):
+        g = SimpleGraph(65, (0,) * 65)
+        with pytest.raises(CapacityError):
+            _independent_masks(g)
+        with pytest.raises(CapacityError):
+            enumerate_independent(g)
 
     def test_output_strictly_sorted(self):
         for n, h in [(8, 0), (10, 1), (9, 2)]:

@@ -231,6 +231,14 @@ def test_membership_counterexample_text(monkeypatch):
     assert verify.check_membership_equivalence(1, 4) == "n=3 h=1 cyclic=True mask=101"
 
 
+def test_membership_counterexample_names_b1_first(monkeypatch):
+    real = graphs.is_independent
+    monkeypatch.setattr(
+        graphs, "is_independent", lambda g, s: True if (s.n, s.bits) == (4, 0b0011) else real(g, s)
+    )
+    assert verify.check_membership_equivalence(1, 4) == "n=4 h=1 cyclic=False mask=1100"
+
+
 @pytest.mark.parametrize(
     "tamper, counterexample",
     [
@@ -298,6 +306,26 @@ def test_cover_checks_count_from_masks(monkeypatch, check):
 
     for name in ("hasse_diagram", "diagram_as_graph", "same_labeled_graph"):
         monkeypatch.setattr(cubes, name, refuse)
+    assert getattr(verify, check)(2, 8) is None
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        "check_path_oracle",
+        "check_cycle_oracle",
+        "check_membership_equivalence",
+        "check_hasse_grading",
+        "check_path_cover_counts",
+        "check_cycle_cover_counts",
+    ],
+)
+def test_oracle_checks_read_masks(monkeypatch, check):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrapped every independent set only to read its mask")
+
+    monkeypatch.setattr(graphs, "enumerate_independent", refuse)
+    monkeypatch.setattr(cubes, "enumerate_independent", refuse, raising=False)
     assert getattr(verify, check)(2, 8) is None
 
 
