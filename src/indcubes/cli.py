@@ -1,8 +1,9 @@
 """Command-line front end: count tables, sequences, verification, export.
 
 All payload goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 verification failure, 2 usage error. Output for fixed arguments is
-byte-identical across runs.
+1 verification failure, 2 usage error, 3 internal fault (an arithmetic
+invariant broke; stderr names the command and its inputs). Output for fixed
+arguments is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (graphs.CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        inputs = ", ".join(f"{k}={v}" for k, v in vars(args).items() if k != "command")
+        print(f"error: internal fault in {args.command} ({inputs}): {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

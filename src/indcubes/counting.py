@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -46,18 +47,20 @@ def _max_size(n: int, h: int) -> int:
     return (n + h) // (h + 1)
 
 
-def _weighted_sum(count_k: Callable[[int, int, int], int], n: int, h: int, w: int) -> int:
-    """Sum of k^w * count_k(n, h, k) over k = 0.._max_size(n, h): w = 0
-    gives the total, w = 1 the cover edges, since each k-subset covers
-    exactly k subsets one element smaller."""
+def _weighted_sum(count_k: Callable[[int, int, int], int], n: int, h: int, weighted: bool) -> int:
+    """Sum of count_k(n, h, k) over k = 0.._max_size(n, h), one call per k by
+    `map`: the total, or the cover edges if each term is weighted by k, since
+    each k-subset covers exactly k subsets one element smaller."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    return sum(k**w * count_k(n, h, k) for k in range(_max_size(n, h) + 1))
+    ks = range(_max_size(n, h) + 1)
+    counts = map(count_k, itertools.repeat(n), itertools.repeat(h), ks)
+    return sum(map(operator.mul, ks, counts)) if weighted else sum(counts)
 
 
 def path_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-path."""
-    return _weighted_sum(path_count_k, n, h, 0)
+    return _weighted_sum(path_count_k, n, h, False)
 
 
 def path_count_clamped(n: int, h: int) -> int:
@@ -69,9 +72,7 @@ def path_count_clamped(n: int, h: int) -> int:
 
 def _nth(terms: Iterator[Any], index: int) -> Any:
     """Term `index` (0-based) of an endless iterator."""
-    for _, term in zip(range(index + 1), terms):
-        pass
-    return term
+    return next(itertools.islice(terms, index, None))
 
 
 def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
@@ -120,14 +121,18 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
         raise ValueError("n, h must be nonnegative")
     k = len(indices)
     upper = n - h * k + h
-    prev = 0
+    bits = prev = 0
+    shift = -1  # the j-th index (0-based) lands at bit idx + j*h - 1
     for idx in indices:
         if idx <= prev:
             raise ValueError(f"indices not strictly increasing at {idx}")
+        if idx <= upper:  # past it the range error below is raised anyway
+            bits |= 1 << (idx + shift)
+        shift += h
         prev = idx
-    if k and not (1 <= indices[0] and indices[-1] <= upper):
+    if prev > upper:  # prev is the last index, and the first is >= 1
         raise ValueError(f"indices must lie in 1..{upper} for k={k}")
-    return VertexSubset(sum(1 << (idx + j * h - 1) for j, idx in enumerate(indices)), n)
+    return VertexSubset(bits, n)
 
 
 def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
@@ -141,9 +146,17 @@ def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
         raise ValueError(f"subset width {s.n} != n={n}")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    indices = [v - j * h for j, v in enumerate(s.vertices())]
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError("subset is not independent in the path power")
+    indices, m = [], s.bits
+    prev = shift = 0  # the j-th member (0-based) v gives index v - j*h
+    while m:
+        low = m & -m
+        idx = low.bit_length() - shift
+        if idx <= prev:
+            raise ValueError("subset is not independent in the path power")
+        indices.append(idx)
+        prev = idx
+        shift += h
+        m ^= low
     return indices
 
 
@@ -166,7 +179,7 @@ def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:
 def path_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the path-power independence poset: each k-subset
     covers exactly k subsets one element smaller, so sum k times the counts."""
-    return _weighted_sum(path_count_k, n, h, 1)
+    return _weighted_sum(path_count_k, n, h, True)
 
 
 @dataclass(frozen=True)
@@ -243,13 +256,13 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
 
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-cycle."""
-    return _weighted_sum(cycle_count_k, n, h, 0)
+    return _weighted_sum(cycle_count_k, n, h, False)
 
 
 def cycle_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the cycle-power independence poset, as the
     k-weighted sum of the per-size counts."""
-    return _weighted_sum(cycle_count_k, n, h, 1)
+    return _weighted_sum(cycle_count_k, n, h, True)
 
 
 def cycle_hasse_edges_closed(n: int, h: int) -> int:

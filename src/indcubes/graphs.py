@@ -4,7 +4,7 @@ independent-subset enumerator used to cross-check every counting formula."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 #: Hard cap for bitmask-backed graphs; the enumerator is only meant for desk
@@ -16,22 +16,44 @@ class CapacityError(ValueError):
     """A construction exceeds its documented size limit."""
 
 
-@dataclass(frozen=True)
 class VertexSubset:
     """Subset of vertices v_1..v_n, stored as a bitmask.
 
     Bit i-1 is set iff v_i belongs to the subset, so the mask read from bit 0
-    upward is the binary string b_1 b_2 ... b_n of the subset.
+    upward is the binary string b_1 b_2 ... b_n of the subset. Immutable, and
+    equal only to a VertexSubset with the same (bits, n). The oracle builds
+    hundreds of thousands, so __init__ sets the slots by their descriptors.
     """
 
-    bits: int
-    n: int
+    __slots__ = ("bits", "n")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"subset width {self.n} outside 0..{MAX_VERTICES}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"mask {self.bits:#x} has bits beyond position {self.n}")
+    def __init__(self, bits: int, n: int) -> None:
+        if not 0 <= n <= MAX_VERTICES:
+            raise CapacityError(f"subset width {n} outside 0..{MAX_VERTICES}")
+        if bits < 0 or bits >> n:
+            raise ValueError(f"mask {bits:#x} has bits beyond position {n}")
+        _set_bits(self, bits)
+        _set_n(self, n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), (self.bits, self.n)
+
+    def __repr__(self) -> str:
+        return f"VertexSubset(bits={self.bits!r}, n={self.n!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.n))
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
@@ -78,6 +100,10 @@ class VertexSubset:
     def sort_key(self) -> tuple[int, int]:
         """Canonical order used everywhere: (cardinality, mask value)."""
         return (self.cardinality, self.bits)
+
+
+_set_bits = VertexSubset.bits.__set__
+_set_n = VertexSubset.n.__set__
 
 
 @dataclass(frozen=True)
@@ -227,8 +253,9 @@ def _mask_string(bits: int, n: int) -> str:
 
 
 def _canonical(masks: list[int], n: int) -> list[VertexSubset]:
-    """Sort the masks in place by (cardinality, mask value) and wrap them."""
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    """Sort the masks in place by value, then stably by cardinality, and wrap them."""
+    masks.sort()
+    masks.sort(key=int.bit_count)
     return [VertexSubset(m, n) for m in masks]
 
 

@@ -9,6 +9,7 @@ bare boolean. The `verify` CLI command and the test suite both run these.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterator
@@ -152,7 +153,7 @@ def check_enumeration_order(h_max: int, n_max: int) -> str | None:
     """Enumeration output is strictly sorted by (cardinality, mask value)."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
         keys = [s.sort_key() for s in graphs.enumerate_independent(g)]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if any(map(operator.ge, keys, keys[1:])):
             return f"n={n} h={h} cyclic={cyclic}: output not strictly sorted"
     return None
 
@@ -160,10 +161,11 @@ def check_enumeration_order(h_max: int, n_max: int) -> str | None:
 def check_membership_equivalence(h_max: int, n_max: int) -> str | None:
     """is_independent agrees with membership in the enumeration, over the
     full power set of small graphs."""
+    is_independent, subset = graphs.is_independent, graphs.VertexSubset
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
         enumerated = set(graphs._independent_masks(g))
         for m in range(1 << n):
-            if graphs.is_independent(g, graphs.VertexSubset(m, n)) != (m in enumerated):
+            if is_independent(g, subset(m, n)) != (m in enumerated):
                 return f"n={n} h={h} cyclic={cyclic} mask={graphs._mask_string(m, n)}"
     return None
 
@@ -198,40 +200,44 @@ def check_containing_column_sum(h_max: int, n_max: int) -> str | None:
 def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
     """Subsets -> indices -> subsets and indices -> subsets -> indices are
     both the identity, and every forward image is independent."""
+    enumerate_independent, is_independent = graphs.enumerate_independent, graphs.is_independent
+    to_indices, to_subset = counting.subset_to_indices, counting.indices_to_subset
     for h in range(h_max + 1):
         for n in range(n_max + 1):
             g = graphs.power_path(n, h)
-            for s in graphs.enumerate_independent(g):
-                idx = counting.subset_to_indices(n, h, s)
-                back = counting.indices_to_subset(n, h, idx)
+            for s in enumerate_independent(g):
+                back = to_subset(n, h, to_indices(n, h, s))
                 if back != s:
                     return f"n={n} h={h} subset={s.to_string()}: roundtrip gave {back.to_string()}"
             for k in range(counting._max_size(n, h) + 1):
                 upper = n - h * k + h
                 for combo in itertools.combinations(range(1, upper + 1), k):
-                    image = counting.indices_to_subset(n, h, list(combo))
-                    if not graphs.is_independent(g, image):
-                        return f"n={n} h={h} indices={list(combo)}: image not independent"
-                    if counting.subset_to_indices(n, h, image) != list(combo):
-                        return f"n={n} h={h} indices={list(combo)}: inverse mismatch"
+                    indices = list(combo)
+                    image = to_subset(n, h, indices)
+                    if not is_independent(g, image):
+                        return f"n={n} h={h} indices={indices}: image not independent"
+                    if to_indices(n, h, image) != indices:
+                        return f"n={n} h={h} indices={indices}: inverse mismatch"
     return None
 
 
 def check_hasse_grading(h_max: int, n_max: int) -> str | None:
     """Diagram levels start at the empty set, covers go up one level within
-    inclusion, and the cover count is the k-weighted sum of level sizes."""
+    inclusion, and the cover count is the k-weighted sum of level sizes. A
+    cover adds one vertex: step = high ^ low is one bit, and not one of low's."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
         masks, covers = cubes._hasse_masks(g)
         if masks.count(0) != 1:
             return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
         for i, j in covers:
             low, high = masks[i], masks[j]
-            if low & ~high or high.bit_count() != low.bit_count() + 1:
+            step = high ^ low
+            if low & step or not step or step & (step - 1):
                 return (
                     f"n={n} h={h} cyclic={cyclic}: bad cover "
                     f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
                 )
-        weighted = sum(m.bit_count() for m in masks)
+        weighted = sum(map(int.bit_count, masks))
         if len(covers) != weighted:
             return f"n={n} h={h} cyclic={cyclic}: covers {len(covers)} != weighted levels {weighted}"
     return None
@@ -398,11 +404,12 @@ def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
 
 def check_order_reduction(h_max: int, n_max: int) -> str | None:
     """Per-size path counts drop one power order when n shrinks by k - 1."""
+    path_count_k = counting.path_count_k
     for h in range(1, h_max + 1):
         for n in range(n_max + 1):
             for k in range(n + 1):
-                lhs = counting.path_count_k(n, h, k)
-                rhs = counting.path_count_k(n - k + 1, h - 1, k)
+                lhs = path_count_k(n, h, k)
+                rhs = path_count_k(n - k + 1, h - 1, k)
                 if lhs != rhs:
                     return f"n={n} h={h} k={k}: {lhs} != {rhs}"
     return None
@@ -411,13 +418,12 @@ def check_order_reduction(h_max: int, n_max: int) -> str | None:
 def check_cycle_decomposition(h_max: int, n_max: int) -> str | None:
     """Cycle per-size counts split into the subsets through a fixed vertex
     and those through a wrap pair."""
+    path_count_k, cycle_count_k = counting.path_count_k, counting.cycle_count_k
     for h in range(h_max + 1):
         for n in range(3 * h + 3, n_max + 1):
             for k in range(2, counting._max_size(n, h) + 2):
-                lhs = counting.path_count_k(n - 2 * h - 1, h, k - 1) + h * counting.path_count_k(
-                    n - 3 * h - 2, h, k - 2
-                )
-                rhs = counting.cycle_count_k(n - h - 1, h, k - 1)
+                lhs = path_count_k(n - 2 * h - 1, h, k - 1) + h * path_count_k(n - 3 * h - 2, h, k - 2)
+                rhs = cycle_count_k(n - h - 1, h, k - 1)
                 if lhs != rhs:
                     return f"n={n} h={h} k={k}: {lhs} != {rhs}"
     return None
@@ -456,10 +462,11 @@ def check_boolean_lattice(h_max: int, n_max: int) -> str | None:
 
 def check_divisibility(h_max: int, n_max: int) -> str | None:
     """k always divides n * C(n - h*k - 1, k - 1) for k >= 2."""
+    binom = counting.binom
     for h in range(h_max + 1):
         for n in range(n_max + 1):
             for k in range(2, counting._max_size(n, h) + 2):
-                if (n * counting.binom(n - h * k - 1, k - 1)) % k:
+                if (n * binom(n - h * k - 1, k - 1)) % k:
                     return f"n={n} h={h} k={k}"
     return None
 

@@ -78,6 +78,17 @@ class TestTable:
             main(["table", "--family", "path", "--h", "-1", "--n-max", "3"])
         assert exc.value.code == 2
 
+    def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch):
+        # a binom that breaks the cycle_count_k divisibility invariant
+        monkeypatch.setattr(counting, "binom", lambda m, k: 3)
+        argv = ("table", "--family", "cycle", "--h", "1", "--n-max", "6", "--per-k")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: internal fault in table (family=cycle, h=1, n_max=6, per_k=True): ")
+        assert "(n=1, h=1, k=2)" in err
+
 
 class TestSeq:
     def test_hfib_order_zero(self, capsys):
@@ -111,9 +122,9 @@ class TestSeq:
             code, out, err = run_cli(capsys, "seq", "--kind", "hfib", "--h", "0", "--count", "2200")
         finally:
             sys.set_int_max_str_digits(limit)
-        assert code == 2
+        assert code == 2  # a usage error, not an internal fault
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "internal fault" not in err
 
     def test_unknown_kind_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -100,6 +100,16 @@ class TestIndexBijection:
             (lambda: counting.indices_to_subset(5, 2, [0, 1]), "indices not strictly increasing at 0"),
             (lambda: counting.indices_to_subset(5, 2, [1, 4]), "indices must lie in 1..3 for k=2"),
             (lambda: counting.indices_to_subset(6, 1, [1, 7]), "indices must lie in 1..5 for k=2"),
+            pytest.param(  # order is checked over all indices before the range
+                lambda: counting.indices_to_subset(5, 2, [9, 2]),
+                "indices not strictly increasing at 2",
+                id="order-before-range",
+            ),
+            pytest.param(  # an index far out of range is reported, not shifted into a mask
+                lambda: counting.indices_to_subset(5, 0, [1, 10**12]),
+                "indices must lie in 1..5 for k=2",
+                id="huge-index",
+            ),
             (
                 lambda: counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 3], 5)),
                 "subset is not independent in the path power",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -9,6 +11,7 @@ from indcubes.graphs import (
     CapacityError,
     SimpleGraph,
     VertexSubset,
+    _canonical,
     _independent_masks,
     contains_pattern,
     enumerate_independent,
@@ -73,6 +76,63 @@ class TestVertexSubset:
             VertexSubset(0b100, 2)
         with pytest.raises(CapacityError):
             VertexSubset(0, 65)
+
+
+class TestVertexSubsetContract:
+    """Value semantics that the slotted representation must keep."""
+
+    def test_assignment_and_deletion_raise(self):
+        s = VertexSubset(5, 4)
+        for name in ("bits", "n", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert (s.bits, s.n) == (5, 4)
+
+    def test_equal_subsets_hash_equal(self):
+        a, b = VertexSubset(5, 4), VertexSubset(5, 4)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, VertexSubset.from_vertices([1, 3], 4)}) == 1
+
+    def test_equal_only_to_same_bits_and_width(self):
+        s = VertexSubset(5, 4)
+        assert s != (5, 4) and (5, 4) != s
+        assert s != VertexSubset(5, 5)
+        assert s != VertexSubset(4, 4)
+        assert not s == 5
+
+    def test_repr(self):
+        assert repr(VertexSubset(5, 4)) == "VertexSubset(bits=5, n=4)"
+
+    def test_copy_and_pickle_roundtrip(self):
+        s = VertexSubset(0b1011, 7)
+        assert copy.deepcopy(s) == s
+        assert copy.copy(s) == s
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, protocol)) == s
+
+    def test_validation_errors(self):
+        with pytest.raises(CapacityError):
+            VertexSubset(0, 65)
+        with pytest.raises(CapacityError):
+            VertexSubset(0, -1)
+        with pytest.raises(ValueError, match="bits beyond position 4"):
+            VertexSubset(1 << 4, 4)
+        with pytest.raises(ValueError):
+            VertexSubset(-1, 4)
+        assert VertexSubset((1 << 64) - 1, 64).cardinality == 64
+
+
+def test_canonical_matches_the_key_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 200)))
+        want = sorted(masks, key=lambda m: (m.bit_count(), m))
+        assert [s.bits for s in _canonical(masks, n)] == want
+        assert masks == want  # sorted in place
 
 
 class TestPowerGraphs:

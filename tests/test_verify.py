@@ -254,6 +254,16 @@ def test_membership_counterexample_names_b1_first(monkeypatch):
             lambda masks, covers: (masks[1:2] + masks[1:], covers),
             "n=5 h=1 cyclic=True: level 0 is not [empty]",
         ),
+        pytest.param(  # masks[6] is {v_1, v_3}: a "cover" from the empty set skips level 1
+            lambda masks, covers: (masks, [(0, 6)] + covers[1:]),
+            "n=5 h=1 cyclic=True: bad cover 00000 -> 10100",
+            id="cover-skips-a-level",
+        ),
+        pytest.param(  # a node "covering" itself adds no vertex
+            lambda masks, covers: (masks, [(1, 1)] + covers[1:]),
+            "n=5 h=1 cyclic=True: bad cover 10000 -> 10000",
+            id="cover-of-itself",
+        ),
     ],
 )
 def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
@@ -443,3 +453,60 @@ def test_hfib_prefix_with_fewer_terms_than_leading_ones(h):
     for f in range(h):
         assert verify.check_hfib_prefix(h, f) is None
         assert verify.run_all(h, f, 2).overall
+
+
+def _counted(monkeypatch, targets):
+    """Wrap each (module, name) route, patched in every listed module, with
+    a call counter; returns name -> number of calls so far."""
+    calls = {}
+    for modules, name in targets:
+        real = getattr(modules[0], name)
+        calls[name] = 0
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _path_total(n, h):
+    return sum(counting.binom(n - h * k + h, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("h_max, n_max", [(0, 0), (2, 7), (3, 9)])
+def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
+    """Speed work may make each call cheaper, but no call may be skipped."""
+    targets = [
+        ((graphs,), "is_independent"),
+        ((graphs, counting), "VertexSubset"),
+        ((counting,), "subset_to_indices"),
+        ((counting,), "indices_to_subset"),
+        ((counting,), "path_count_k"),
+        ((counting,), "cycle_count_k"),
+    ]
+    sweep = [(n, h) for h in range(h_max + 1) for n in range(n_max + 1)]
+
+    calls = _counted(monkeypatch, targets)
+    assert verify.check_membership_equivalence(h_max, n_max) is None
+    # every mask of the path power, then of the cycle power
+    assert calls["is_independent"] == calls["VertexSubset"] == sum(2 << n for n, _ in sweep)
+
+    calls = _counted(monkeypatch, targets)
+    assert verify.check_bijection_roundtrip(h_max, n_max) is None
+    subsets = sum(_path_total(n, h) for n, h in sweep)
+    # each independent set once from the enumerator and once as an index
+    # list's image; each index list once as an image and once back
+    assert calls["subset_to_indices"] == calls["indices_to_subset"] == 2 * subsets
+    assert calls["is_independent"] == subsets
+    assert calls["VertexSubset"] == 3 * subsets
+
+    sizes = sum((n + h) // (h + 1) + 1 for n, h in sweep)  # k = 0..max size
+    calls = _counted(monkeypatch, targets)
+    assert verify.check_path_recurrence(h_max, n_max) is None
+    assert calls["path_count_k"] == sizes and calls["cycle_count_k"] == 0
+    calls = _counted(monkeypatch, targets)
+    assert verify.check_cycle_recurrence(h_max, n_max) is None
+    assert calls["cycle_count_k"] == sizes and calls["path_count_k"] == 0
