@@ -4,6 +4,12 @@ All payload goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal fault (an arithmetic
 invariant broke; stderr names the command and its inputs). Output for fixed
 arguments is byte-identical across runs.
+
+`table` and `seq` honour Python's int-to-str digit limit (4,300 by default).
+Every value is checked against it before any is converted, so a command with
+a value over it fails at once: exit 2, nothing on stdout, and one stderr line
+naming the first offending row or term and the limit. Raise the limit with
+PYTHONINTMAXSTRDIGITS or `python -X int_max_str_digits=N`; 0 lifts it.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import counting, cubes, graphs, verify
 
@@ -33,18 +39,57 @@ def _parse_patterns(csv: str) -> list[str]:
     return patterns
 
 
+def _render_rows(
+    rows: Iterator[tuple[int, ...]],
+    count: int,
+    name: Callable[[int, int], str],
+    more: Callable[[tuple[int, ...]], list[int]] | None = None,
+) -> str:
+    """The first `count` rows of nonnegative integers, each followed by
+    `more(row)`, as lines of tab-separated decimals. No value of `more(row)`
+    may exceed the largest of `row`.
+
+    Python refuses to convert an int of more than sys.get_int_max_str_digits()
+    digits, and str(v) raises exactly when v >= 10**limit. So every row is
+    compared with that bound as it is drawn, before any value is converted:
+    the first value over it stops the drawing and raises ValueError naming it
+    by `name(row, column)` (both 0-based) and the limit. A limit of 0 turns
+    the check off.
+    """
+    # Pythons before 3.10.7 have no limit and no way to read it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit
+    held = []
+    for i, row in zip(range(count), rows):
+        if limit and max(row) >= bound:
+            column = next(j for j, v in enumerate(row) if v >= bound)
+            raise ValueError(
+                f"{name(i, column)} has more than {limit} digits, Python's limit for"
+                " int-to-str conversion; raise it with PYTHONINTMAXSTRDIGITS or"
+                " -X int_max_str_digits"
+            )
+        held.append(row)
+    if more is not None:
+        held = [row + tuple(more(row)) for row in held]
+    return "\n".join("\t".join(map(str, row)) for row in held)
+
+
 def render_table(family: str, h: int, n_max: int, per_k: bool) -> str:
     """TSV of totals and poset edge counts for n = 0..n_max, with optional
-    per-size columns."""
+    per-size columns. A per-size count never exceeds its row's total, so
+    checking n, total and edges covers the whole table, and no per-size
+    count is computed for a table that fails the check."""
     count_k = counting.path_count_k if family == "path" else counting.cycle_count_k
     k_cols = counting._max_size(n_max, h) + 1 if per_k else 0
     header = ["n", "total", "edges"] + [f"k{k}" for k in range(k_cols)]
-    lines = ["\t".join(header)]
-    for n, (total, edges) in zip(range(n_max + 1), counting._rows(family, h)):
-        row = [str(n), str(total), str(edges)]
-        row += [str(count_k(n, h, k)) for k in range(k_cols)]
-        lines.append("\t".join(row))
-    return "\n".join(lines)
+    rows = ((n, total, edges) for n, (total, edges) in enumerate(counting._rows(family, h)))
+    body = _render_rows(
+        rows,
+        n_max + 1,
+        lambda n, column: f"{header[column]} at n={n}",
+        (lambda row: [count_k(row[0], h, k) for k in range(k_cols)]) if per_k else None,
+    )
+    return "\t".join(header) + "\n" + body
 
 
 def render_seq(kind: str, h: int, count: int) -> str:
@@ -56,7 +101,7 @@ def render_seq(kind: str, h: int, count: int) -> str:
         next(rows)  # index 0
         column = 0 if kind in ("p", "q") else 1
         terms = (row[column] for row in rows)
-    return "\n".join(str(t) for _, t in zip(range(count), terms))
+    return _render_rows(zip(terms), count, lambda i, _: f"term {i + 1}")
 
 
 def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int, int]]]:

@@ -1,9 +1,10 @@
+import bisect
 import json
 import sys
 
 import pytest
 
-from indcubes import counting
+from indcubes import cli, counting
 from indcubes.cli import main
 from indcubes.cubes import power_patterns
 
@@ -12,6 +13,55 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_at_limit(capsys, limit, *argv):
+    """run_cli with Python's int-to-str digit limit set to `limit`."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def first_over(limit, value):
+    """Smallest i >= 1 at which the nondecreasing value(i), at least
+    2^(i-1), has more than `limit` digits, counted by str() with no limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        indices = range(1, 4 * limit)
+        return indices[bisect.bisect_left(indices, True, key=lambda i: len(str(value(i))) > limit)]
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def count_pulls(monkeypatch, name):
+    """Wrap the generator counting.<name>; the returned list holds the
+    number of items pulled from it so far."""
+    real = getattr(counting, name)
+    pulled = [0]
+
+    def wrapped(*args):
+        for item in real(*args):
+            pulled[0] += 1
+            yield item
+
+    monkeypatch.setattr(counting, name, wrapped)
+    return pulled
+
+
+def count_conversions(monkeypatch):
+    """Count the calls to `str` made by the cli module."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return str(*args)
+
+    monkeypatch.setattr(cli, "str", counted, raising=False)
+    return calls
 
 
 def parse_tsv(text):
@@ -130,6 +180,95 @@ class TestSeq:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "--kind", "primes", "--h", "1", "--count", "3"])
         assert exc.value.code == 2
+
+
+class TestDigitLimit:
+    """Every value is checked against the int-to-str digit limit before any
+    is converted; over it, a command prints nothing and exits 2."""
+
+    LIMIT = 640  # the lowest limit Python accepts
+
+    def test_hfib_boundary(self, capsys):
+        # term i of the order-0 sequence is 2^(i-1)
+        first = first_over(self.LIMIT, lambda i: 2 ** (i - 1))
+        argv = ("seq", "--kind", "hfib", "--h", "0", "--count")
+        code, out, err = run_at_limit(capsys, self.LIMIT, *argv, str(first - 1))
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert len(lines) == first  # first - 1 terms and the final newline
+        assert len(lines[-2]) == self.LIMIT and int(lines[-2]) == 2 ** (first - 2)
+        code, out, err = run_at_limit(capsys, self.LIMIT, *argv, str(first))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"term {first} has more than {self.LIMIT} digits" in err
+
+    @pytest.mark.parametrize("per_k", [False, True])
+    def test_table_names_first_offending_row(self, capsys, monkeypatch, per_k):
+        # edges n 2^(n-1) passes the limit before the total 2^n does
+        first = first_over(self.LIMIT, lambda n: n * 2 ** (n - 1))
+        assert first < first_over(self.LIMIT, lambda n: 2**n)
+        calls = [0]
+        real = counting.path_count_k
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(counting, "path_count_k", counted)
+        argv = ["table", "--family", "path", "--h", "0", "--n-max", str(first)]
+        code, out, err = run_at_limit(capsys, self.LIMIT, *argv, *["--per-k"] * per_k)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"edges at n={first} has more than {self.LIMIT} digits" in err
+        assert calls == [0]  # no per-size count for a table that fails
+
+    def test_table_just_under_the_limit_prints_in_full(self, capsys):
+        n_max = first_over(self.LIMIT, lambda n: n * 2 ** (n - 1)) - 1
+        argv = ("table", "--family", "path", "--h", "0", "--n-max", str(n_max))
+        code, out, err = run_at_limit(capsys, self.LIMIT, *argv)
+        assert (code, err) == (0, "")
+        _, rows = parse_tsv(out)
+        assert len(rows) == n_max + 1
+        assert rows[-1] == [str(n_max), str(2**n_max), str(n_max * 2 ** (n_max - 1))]
+
+    def test_seq_stops_at_first_over_limit_term(self, capsys, monkeypatch):
+        first = first_over(self.LIMIT, lambda i: 2 ** (i - 1))
+        pulled = count_pulls(monkeypatch, "_hfib_terms")
+        converted = count_conversions(monkeypatch)
+        argv = ("seq", "--kind", "hfib", "--h", "0", "--count", "1000000")
+        code, out, _ = run_at_limit(capsys, self.LIMIT, *argv)
+        assert (code, out) == (2, "")
+        assert pulled == [first]
+        assert converted == [0]
+
+    def test_table_stops_at_first_over_limit_row(self, capsys, monkeypatch):
+        first = first_over(self.LIMIT, lambda n: n * 2 ** (n - 1))
+        pulled = count_pulls(monkeypatch, "_rows")
+        converted = count_conversions(monkeypatch)
+        argv = ("table", "--family", "path", "--h", "0", "--n-max", "1000000")
+        code, out, _ = run_at_limit(capsys, self.LIMIT, *argv)
+        assert (code, out) == (2, "")
+        assert pulled == [first + 1]  # rows n = 0..first
+        assert converted == [0]
+
+    def test_default_limit(self, capsys):
+        assert first_over(4300, lambda i: 2 ** (i - 1)) == 14286
+        argv = ("seq", "--kind", "hfib", "--h", "0", "--count", "14300")
+        code, out, err = run_at_limit(capsys, sys.int_info.default_max_str_digits, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "term 14286 has more than 4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "-X int_max_str_digits" in err
+
+    def test_limit_zero_turns_the_check_off(self, capsys):
+        argv = ("seq", "--kind", "hfib", "--h", "0", "--count", "2200")
+        assert run_at_limit(capsys, self.LIMIT, *argv)[0] == 2
+        unlimited = run_at_limit(capsys, 0, *argv)
+        assert unlimited == run_at_limit(capsys, sys.int_info.default_max_str_digits, *argv)
+        assert unlimited[0] == 0 and unlimited[1].count("\n") == 2200
 
 
 class TestVerifyCommand:
