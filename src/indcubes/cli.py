@@ -15,11 +15,10 @@ PYTHONINTMAXSTRDIGITS or `python -X int_max_str_digits=N`; 0 lifts it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Iterator, Sequence
 
-from . import counting, cubes, graphs, verify
+from . import counting, cubes, graphs
 
 
 def _nonneg(text: str) -> int:
@@ -130,8 +129,13 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int,
 def render_export(args: argparse.Namespace) -> str:
     labels, pairs = _export_object(args)
     if args.format == "json":
-        edges = [(i + 1, j + 1) for i, j in pairs]  # json writes tuples as arrays
-        return json.dumps({"n": len(labels), "labels": labels, "edges": edges})
+        import json
+        # json.dumps's default layout, without encoding every pair: each
+        # 1-based edge [i, j] joins two pieces made once per label.
+        heads = [f"[{i}, " for i in range(1, len(labels) + 1)]
+        tails = [f"{j}]" for j in range(1, len(labels) + 1)]
+        edges = ", ".join([heads[i] + tails[j] for i, j in pairs])
+        return f'{{"n": {len(labels)}, "labels": {json.dumps(labels)}, "edges": [{edges}]}}'
     lines = ["graph G {"]
     lines += [f'  "{lab}";' for lab in labels]
     lines += [f'  "{labels[i]}" -- "{labels[j]}";' for i, j in pairs]
@@ -211,8 +215,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             cap = cubes.MAX_CUBE_ORDER
             if args.n_max_oracle > cap:
                 parser.error(f"--n-max-oracle {args.n_max_oracle} exceeds the cube cap of {cap}")
+            # Every call is a fresh process: only the commands that use them import verify and json.
+            from . import verify
             report = verify.run_all(args.h_max, args.n_max_formula, args.n_max_oracle)
             if args.json:
+                import json
                 print(json.dumps(report.to_dict(), indent=2))
             else:
                 print(report.render_text())

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .graphs import VertexSubset
+from .graphs import Record, VertexSubset, _set_field
 
 
 def binom(m: int, k: int) -> int:
@@ -182,13 +181,15 @@ def path_hasse_edges(n: int, h: int) -> int:
     return _weighted_sum(path_count_k, n, h, True)
 
 
-@dataclass(frozen=True)
-class HFibSequence:
+class HFibSequence(Record):
     """Prefix of the order-h Fibonacci-like sequence: h+1 leading ones, then
     each term is the previous term plus the term h+1 positions back."""
 
-    h: int
-    terms: tuple[int, ...]
+    __slots__ = ("h", "terms")
+
+    def __init__(self, h: int, terms: tuple[int, ...]) -> None:
+        _set_field(self, "h", h)
+        _set_field(self, "terms", terms)
 
     def term(self, i: int) -> int:
         """1-based access."""

@@ -9,16 +9,17 @@ can be checked vertex for vertex and edge for edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .graphs import (
     CapacityError,
+    Record,
     SimpleGraph,
     VertexSubset,
     _canonical,
     _check_pattern,
     _independent_masks,
+    _set_field,
 )
 
 #: Node counts grow like the total independent-subset count, so diagram and
@@ -26,8 +27,7 @@ from .graphs import (
 MAX_CUBE_ORDER = 20
 
 
-@dataclass(frozen=True)
-class PosetDiagram:
+class PosetDiagram(Record):
     """Hasse diagram of independent subsets ordered by inclusion.
 
     levels[k] holds the size-k subsets in canonical order; covers are the
@@ -35,9 +35,17 @@ class PosetDiagram:
     sorted by the smaller's canonical position, then the larger's mask.
     """
 
-    n: int
-    levels: tuple[tuple[VertexSubset, ...], ...]
-    covers: tuple[tuple[VertexSubset, VertexSubset], ...]
+    __slots__ = ("n", "levels", "covers")
+
+    def __init__(
+        self,
+        n: int,
+        levels: tuple[tuple[VertexSubset, ...], ...],
+        covers: tuple[tuple[VertexSubset, VertexSubset], ...],
+    ) -> None:
+        _set_field(self, "n", n)
+        _set_field(self, "levels", levels)
+        _set_field(self, "covers", covers)
 
     def nodes(self) -> tuple[VertexSubset, ...]:
         """All nodes, flattened in canonical (cardinality, mask) order."""

@@ -4,7 +4,6 @@ independent-subset enumerator used to cross-check every counting formula."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 #: Hard cap for bitmask-backed graphs; the enumerator is only meant for desk
@@ -16,13 +15,53 @@ class CapacityError(ValueError):
     """A construction exceeds its documented size limit."""
 
 
-class VertexSubset:
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value types. A subclass names its
+    fields in __slots__ and sets them in its __init__ with _set_field.
+
+    Records compare and hash by class and field values (never equal to a
+    tuple), print as `Name(field=value, ...)`, refuse assignment and deletion,
+    and pickle and copy by calling the class with their field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class VertexSubset(Record):
     """Subset of vertices v_1..v_n, stored as a bitmask.
 
     Bit i-1 is set iff v_i belongs to the subset, so the mask read from bit 0
-    upward is the binary string b_1 b_2 ... b_n of the subset. Immutable, and
-    equal only to a VertexSubset with the same (bits, n). The oracle builds
-    hundreds of thousands, so __init__ sets the slots by their descriptors.
+    upward is the binary string b_1 b_2 ... b_n of the subset. Equal only to
+    a VertexSubset with the same (bits, n). The oracle builds hundreds of
+    thousands, so __init__ sets the slots by their descriptors and __eq__ and
+    __hash__ read the two fields directly.
     """
 
     __slots__ = ("bits", "n")
@@ -34,18 +73,6 @@ class VertexSubset:
             raise ValueError(f"mask {bits:#x} has bits beyond position {n}")
         _set_bits(self, bits)
         _set_n(self, n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__
-        return type(self), (self.bits, self.n)
-
-    def __repr__(self) -> str:
-        return f"VertexSubset(bits={self.bits!r}, n={self.n!r})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -106,8 +133,7 @@ _set_bits = VertexSubset.bits.__set__
 _set_n = VertexSubset.n.__set__
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """Undirected simple graph on vertices v_1..v_n with bitmask adjacency rows.
 
     adj[i] is the neighbor mask of v_{i+1}. Rows are plain ints, so derived
@@ -115,24 +141,25 @@ class SimpleGraph:
     64-vertex cap applies only to the path/cycle builders and the enumerator.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if n < 0 or len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for i, row in enumerate(self.adj):
-            if row >> self.n:
-                raise ValueError(f"row {i} has bits beyond position {self.n}")
+        for i, row in enumerate(adj):
+            if row >> n:
+                raise ValueError(f"row {i} has bits beyond position {n}")
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at v_{i + 1}")
             m = row
             while m:  # per set bit, so validation is O(edges), not O(n^2)
                 low = m & -m
                 j = low.bit_length() - 1
-                if not ((self.adj[j] >> i) & 1):
+                if not ((adj[j] >> i) & 1):
                     raise ValueError(f"asymmetric adjacency between v_{i + 1}, v_{j + 1}")
                 m ^= low
+        _set_field(self, "n", n)
+        _set_field(self, "adj", adj)
 
     def has_edge(self, i: int, j: int) -> bool:
         """Adjacency of v_i and v_j (1-based)."""

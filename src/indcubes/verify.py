@@ -11,30 +11,35 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from . import counting, cubes, graphs
+from .graphs import Record, _set_field
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    params: str
-    ok: bool
-    counterexample: str | None = None
+class CheckResult(Record):
+    __slots__ = ("name", "params", "ok", "counterexample")
+
+    def __init__(self, name: str, params: str, ok: bool, counterexample: str | None = None) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "params", params)
+        _set_field(self, "ok", ok)
+        _set_field(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        _set_field(self, "checks", checks)
 
     @property
     def overall(self) -> bool:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
+        checks = [dict(zip(c.__slots__, c._values())) for c in self.checks]
+        return {"overall": self.overall, "checks": checks}
 
     def render_text(self) -> str:
         lines = []

@@ -1,10 +1,13 @@
 import bisect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from indcubes import cli, counting
+from indcubes import cli, counting, verify
 from indcubes.cli import main
 from indcubes.cubes import power_patterns
 
@@ -291,6 +294,21 @@ class TestVerifyCommand:
             c["name"] for c in report["checks"]
         }
 
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_json_report_bytes(self, capsys, monkeypatch, broken):
+        if broken:  # a failing report, so counterexample strings are pinned too
+            real = counting.binom
+            monkeypatch.setattr(counting, "binom", lambda m, k: real(m, k) + (m == 4 and k == 2))
+        bounds = ("--h-max", "1", "--n-max-formula", "20", "--n-max-oracle", "6")
+        code, out, _ = run_cli(capsys, "verify", *bounds, "--json")
+        report = verify.run_all(1, 20, 6)
+        checks = [
+            {"name": c.name, "params": c.params, "ok": c.ok, "counterexample": c.counterexample}
+            for c in report.checks
+        ]
+        assert report.overall is not broken and code == int(broken)
+        assert out == json.dumps({"overall": report.overall, "checks": checks}, indent=2) + "\n"
+
     def test_oracle_bound_over_cube_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-max-oracle", "21"])
@@ -400,6 +418,82 @@ class TestExport:
             main(["export", "--family", "gen-cube", "--n", "4", "--patterns", "1,2x",
                   "--what", "graph", "--format", "dot"])
         assert exc.value.code == 2
+
+
+def _export_args(family, n):
+    """Export arguments for a family at order n; path and cycle at h = 2."""
+    if family == "gen-cube":
+        return ["--family", family, "--n", str(n), "--patterns", "11,101", "--circular"]
+    if family in ("path", "cycle"):
+        return ["--family", family, "--n", str(n), "--h", "2"]
+    return ["--family", family, "--n", str(n)]
+
+
+class TestExportJson:
+    """The JSON export prints exactly what json.dumps makes of the labels and
+    the 1-based edge pairs, in its default layout."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    @pytest.mark.parametrize(
+        "family, what",
+        [("path", "graph"), ("path", "hasse"), ("cycle", "graph"), ("cycle", "hasse"),
+         ("fib-cube", "graph"), ("lucas-cube", "graph"), ("gen-cube", "graph")],
+    )
+    def test_matches_json_dumps(self, capsys, family, what, n):
+        argv = ["export", *_export_args(family, n), "--what", what, "--format", "json"]
+        labels, pairs = cli._export_object(cli.build_parser().parse_args(argv))
+        expected = json.dumps(
+            {"n": len(labels), "labels": labels, "edges": [(i + 1, j + 1) for i, j in pairs]}
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, n, labels",
+        [
+            (["--family", "path", "--n", "0", "--h", "1", "--what", "graph"], 0, "[]"),
+            (["--family", "path", "--n", "1", "--h", "1", "--what", "graph"], 1, '["1"]'),
+            (["--family", "cycle", "--n", "2", "--h", "0", "--what", "graph"], 2, '["1", "2"]'),
+            (["--family", "fib-cube", "--n", "0", "--what", "graph"], 1, '[""]'),
+        ],
+    )
+    def test_no_edges_print_as_empty_list(self, capsys, argv, n, labels):
+        code, out, _ = run_cli(capsys, "export", *argv, "--format", "json")
+        assert code == 0 and out == f'{{"n": {n}, "labels": {labels}, "edges": []}}\n'
+
+
+class TestColdStart:
+    """Every CLI call is a fresh process, so importing the CLI loads nothing
+    that only some commands use."""
+
+    def _run(self, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_import_loads_no_unused_modules(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import indcubes.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        done = self._run("-c", script)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "indcubes.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "indcubes.verify", "json"}
+
+    def test_verify_still_runs_from_a_fresh_process(self):
+        done = self._run(
+            "-m", "indcubes", "verify", "--h-max", "1", "--n-max-formula", "10",
+            "--n-max-oracle", "4",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "overall: PASS"
 
 
 def _twin_cases():
