@@ -2,8 +2,9 @@
 
 All payload goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal fault (an arithmetic
-invariant broke; stderr names the command and its inputs). Output for fixed
-arguments is byte-identical across runs.
+invariant broke; stderr names the command and its inputs), 141 stdout closed
+before all output was written (`| head`), as a shell reports a SIGPIPE death.
+Output for fixed arguments is byte-identical across runs.
 
 `table` and `seq` honour Python's int-to-str digit limit (4,300 by default).
 Every value is checked against it before any is converted, so a command with
@@ -15,6 +16,7 @@ PYTHONINTMAXSTRDIGITS or `python -X int_max_str_digits=N`; 0 lifts it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Iterator, Sequence
 
@@ -202,6 +204,18 @@ def _validate_export(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader stopped early. Point stdout at devnull so the
+        # interpreter's final flush of what is left stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

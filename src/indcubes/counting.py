@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .graphs import Record, VertexSubset, _set_field
 
@@ -187,9 +187,9 @@ class HFibSequence(Record):
 
     __slots__ = ("h", "terms")
 
-    def __init__(self, h: int, terms: tuple[int, ...]) -> None:
+    def __init__(self, h: int, terms: Iterable[int]) -> None:
         _set_field(self, "h", h)
-        _set_field(self, "terms", terms)
+        _set_field(self, "terms", tuple(terms))
 
     def term(self, i: int) -> int:
         """1-based access."""
@@ -211,7 +211,7 @@ def hfib(h: int, length: int) -> HFibSequence:
     """First `length` terms of the order-h sequence (1-based)."""
     if h < 0 or length < 0:
         raise ValueError("h and length must be nonnegative")
-    return HFibSequence(h, tuple(t for _, t in zip(range(length), _hfib_terms(h))))
+    return HFibSequence(h, (t for _, t in zip(range(length), _hfib_terms(h))))
 
 
 def convolve_self(seq: HFibSequence, n: int) -> int:

@@ -103,7 +103,7 @@ def diagram_as_graph(d: PosetDiagram) -> SimpleGraph:
         i, j = index[low.bits], index[high.bits]
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return SimpleGraph(len(nodes), tuple(rows))
+    return SimpleGraph(len(nodes), rows)
 
 
 def _check_cube_order(n: int) -> None:

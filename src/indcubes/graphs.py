@@ -143,7 +143,8 @@ class SimpleGraph(Record):
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+    def __init__(self, n: int, adj: Iterable[int]) -> None:
+        adj = tuple(adj)  # the graph keeps no reference to a caller's list
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         for i, row in enumerate(adj):
@@ -211,7 +212,7 @@ def power_path(n: int, h: int) -> SimpleGraph:
         for j in range(max(0, i - h), min(n, i + h + 1)):
             if j != i:
                 rows[i] |= 1 << j
-    return SimpleGraph(n, tuple(rows))
+    return SimpleGraph(n, rows)
 
 
 def power_cycle(n: int, h: int) -> SimpleGraph:
@@ -226,7 +227,7 @@ def power_cycle(n: int, h: int) -> SimpleGraph:
         for j in range(n):
             if j != i and (abs(j - i) <= h or abs(j - i) >= n - h):
                 rows[i] |= 1 << j
-    return SimpleGraph(n, tuple(rows))
+    return SimpleGraph(n, rows)
 
 
 def is_independent(g: SimpleGraph, s: VertexSubset) -> bool:

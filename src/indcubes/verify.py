@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import counting, cubes, graphs
 from .graphs import Record, _set_field
@@ -30,8 +30,8 @@ class CheckResult(Record):
 class VerificationReport(Record):
     __slots__ = ("checks",)
 
-    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
-        _set_field(self, "checks", checks)
+    def __init__(self, checks: Iterable[CheckResult]) -> None:
+        _set_field(self, "checks", tuple(checks))
 
     @property
     def overall(self) -> bool:
@@ -466,13 +466,32 @@ def check_boolean_lattice(h_max: int, n_max: int) -> str | None:
 
 
 def check_divisibility(h_max: int, n_max: int) -> str | None:
-    """k always divides n * C(n - h*k - 1, k - 1) for k >= 2."""
+    """k always divides n * C(n - h*k - 1, k - 1) for k >= 2.
+
+    For each h, column k keeps C(m, j), m = n - h*k - 1 and j = k - 1, at the
+    current n. It is seeded from binom where it enters the sweep. Each step
+    of n raises m by one, and the value steps exactly: it stays (at 0) while
+    m < j, gains one at m = j, and is multiplied by m / (m - j) above. Every
+    step reads the previous value, so a wrong seed reaches the close, where
+    each column is compared with binom again at n_max.
+    """
     binom = counting.binom
     for h in range(h_max + 1):
+        column = []  # column[k - 2] is C(n - h*k - 1, k - 1)
         for n in range(n_max + 1):
-            for k in range(2, counting._max_size(n, h) + 2):
-                if (n * binom(n - h * k - 1, k - 1)) % k:
+            for k in range(2, n // (h + 1) + 1):  # the columns with m >= j
+                d = n - (h + 1) * k  # m - j, so m = d + k - 1
+                column[k - 2] = column[k - 2] * (d + k - 1) // d if d else column[k - 2] + 1
+            k = len(column) + 2
+            if k <= counting._max_size(n, h) + 1:  # column k enters the sweep
+                column.append(binom(n - h * k - 1, k - 1))
+            for k, value in enumerate(column, 2):
+                if n * value % k:
                     return f"n={n} h={h} k={k}"
+        for k, value in enumerate(column, 2):
+            expect = binom(n_max - h * k - 1, k - 1)
+            if value != expect:
+                return f"n={n_max} h={h} k={k}: walked {value} != binom {expect}"
     return None
 
 
@@ -550,4 +569,4 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
                 counterexample=counterexample,
             )
         )
-    return VerificationReport(tuple(results))
+    return VerificationReport(results)

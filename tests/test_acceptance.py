@@ -2,8 +2,10 @@
 parameter range with exact-integer comparisons. Every test prints a single
 pass/fail line (visible with `pytest -s` or on failure)."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from indcubes import counting, verify
 
@@ -90,11 +92,16 @@ def test_criterion_10_byte_deterministic_cli():
         ["export", "--family", "cycle", "--n", "6", "--h", "1",
          "--what", "hasse", "--format", "json"],
     ]
+    # the package under test, whether it is installed or not
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
     cx = None
     for argv in commands:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "indcubes", *argv],
+                env=env,
                 capture_output=True,
                 check=False,
             )

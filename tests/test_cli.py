@@ -466,12 +466,14 @@ class TestColdStart:
     """Every CLI call is a fresh process, so importing the CLI loads nothing
     that only some commands use."""
 
-    def _run(self, *args):
+    def _env(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path}
+        return {**os.environ, "PYTHONPATH": path}
+
+    def _run(self, *args):
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, *args], env=self._env(), capture_output=True, text=True, timeout=120
         )
 
     def test_import_loads_no_unused_modules(self):
@@ -494,6 +496,30 @@ class TestColdStart:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "overall: PASS"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["seq", "--kind", "p", "--h", "1", "--count", "4000"],
+            ["export", "--family", "fib-cube", "--n", "16", "--what", "graph", "--format", "dot"],
+        ],
+        ids=["seq", "export"],
+    )
+    def test_closed_stdout_exits_141_without_a_traceback(self, args):
+        # both outputs are far larger than a pipe's buffer, so the reader
+        # closes the pipe while the command is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "indcubes", *args],
+            env=self._env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
 def _twin_cases():

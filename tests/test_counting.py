@@ -24,6 +24,14 @@ class TestBinom:
         want = len(list(combinations(range(m), k))) if m >= 0 and k >= 0 else 0
         assert counting.binom(m, k) == want
 
+    def test_matches_pascal_rows(self):
+        # every C(m, k), k <= m <= 401: each cell the divisibility sweep at
+        # default bounds (h <= 4, n <= 400) could ask for
+        row = [1]
+        for m in range(402):
+            assert [counting.binom(m, k) for k in range(m + 1)] == row, f"m={m}"
+            row = [a + b for a, b in zip([0, *row], [*row, 0])]
+
     def test_exact_at_scale(self):
         # 2^1000 subsets of size 0..1000 must sum exactly
         assert sum(counting.binom(1000, k) for k in range(1001)) == 2**1000

@@ -130,3 +130,22 @@ def test_simple_graph_validation_errors(n, adj, message):
     with pytest.raises(ValueError) as exc:
         SimpleGraph(n=n, adj=adj)
     assert str(exc.value) == message
+
+
+
+@pytest.mark.parametrize(
+    "build, field, values, other",
+    [
+        (lambda seq: SimpleGraph(3, seq), "adj", (0, 0, 0), 6),
+        (lambda seq: HFibSequence(1, seq), "terms", (1, 1, 2), 6),
+        (VerificationReport, "checks", (_CHECK, _CHECK), CheckResult("b", "r", True)),
+    ],
+    ids=["SimpleGraph", "HFibSequence", "VerificationReport"],
+)
+def test_sequence_fields_are_stored_as_tuples(build, field, values, other):
+    given = list(values)
+    record, twin = build(given), build(values)
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    given[0] = other
+    assert record == twin and getattr(record, field) == values
+    assert getattr(twin, field) is values  # a tuple is kept as given

@@ -1,3 +1,4 @@
+import math
 import types
 
 import pytest
@@ -61,6 +62,54 @@ def test_small_sweep_passes():
 
 def test_divisibility_at_full_range():
     assert verify.check_divisibility(h_max=8, n_max=400) is None
+
+
+def test_divisibility_walk_equals_binom_at_every_cell():
+    # each sweep compares every walked column with binom at its own n_max,
+    # so together they compare every cell
+    for n_max in range(60):
+        assert verify.check_divisibility(h_max=4, n_max=n_max) is None
+
+
+def test_divisibility_names_the_first_non_divisible_cell(monkeypatch):
+    monkeypatch.setattr(counting, "binom", lambda m, k: 3)
+    assert verify.check_divisibility(h_max=4, n_max=400) == "n=1 h=0 k=2"
+
+
+@pytest.mark.parametrize(
+    "cell, wrong, counterexample",
+    [
+        # the seed of column k = 3 at h = 0 is C(1, 2) = 0; a seed of k keeps
+        # every cell divisible and multiplies the walk by k + 1
+        ((1, 2), 3, f"n=20 h=0 k=3: walked {4 * math.comb(19, 2)} != binom {math.comb(19, 2)}"),
+        # C(19, 4) is read only at the close of column k = 5
+        ((19, 4), 0, f"n=20 h=0 k=5: walked {math.comb(19, 4)} != binom 0"),
+    ],
+    ids=["seed", "close"],
+)
+def test_divisibility_reports_a_seed_or_close_fault_at_the_close(
+    monkeypatch, cell, wrong, counterexample
+):
+    real = counting.binom
+    monkeypatch.setattr(counting, "binom", lambda m, k: wrong if (m, k) == cell else real(m, k))
+    assert verify.check_divisibility(h_max=2, n_max=20) == counterexample
+
+
+@pytest.mark.parametrize("h_max, n_max", [(0, 0), (4, 400), (8, 400)])
+def test_divisibility_calls_binom_twice_per_column(monkeypatch, h_max, n_max):
+    """Once where a column enters the sweep, once at its close."""
+    calls = _counted(monkeypatch, [((counting,), "binom")])
+    assert verify.check_divisibility(h_max, n_max) is None
+    assert calls["binom"] == 2 * sum(counting._max_size(n_max, h) for h in range(h_max + 1))
+
+
+@pytest.mark.parametrize("cell", [(4, 2), (30, 7)])
+def test_one_cell_binom_fault_fails_default_verify(monkeypatch, cell):
+    real = counting.binom
+    monkeypatch.setattr(counting, "binom", lambda m, k: real(m, k) + ((m, k) == cell))
+    report = verify.run_all()
+    assert not report.overall
+    assert {c.name for c in report.checks if not c.ok} - {"divisibility"}
 
 
 def test_default_ranges_pass():
