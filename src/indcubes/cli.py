@@ -105,17 +105,18 @@ def render_seq(kind: str, h: int, count: int) -> str:
     return _render_rows(zip(terms), count, lambda i, _: f"term {i + 1}")
 
 
-def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int, int]]]:
-    """Labels plus 0-based edge index pairs for the requested object, built
-    once from integer masks."""
+def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]]:
+    """Labels plus up-lists for the requested object, built once from integer
+    masks: ups[i] holds, ascending, the 0-based j > i joined to node i."""
     family = args.family
     n = args.n
     if family in ("path", "cycle"):
         h = 1 if args.h is None else args.h
         g = graphs.power_path(n, h) if family == "path" else graphs.power_cycle(n, h)
         if args.what == "graph":
-            return [str(i) for i in range(1, n + 1)], [(i - 1, j - 1) for i, j in g.edges()]
-        masks, pairs = cubes._hasse_masks(g)
+            ups = [[j for j in range(i + 1, n) if row >> j & 1] for i, row in enumerate(g.adj)]
+            return [str(i) for i in range(1, n + 1)], ups
+        masks, ups = cubes._hasse_masks(g)
     else:
         if family == "fib-cube":
             strings = cubes.fibonacci_strings(n)
@@ -124,23 +125,32 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[tuple[int,
         else:  # gen-cube
             strings = cubes.avoiding_strings(n, args.patterns, args.circular)
         masks = [s.bits for s in strings]
-        pairs = cubes._hamming_pairs(masks, n)
-    return [graphs._mask_string(m, n) for m in masks], pairs
+        ups = cubes._hamming_pairs(masks)
+    return [graphs._mask_string(m, n) for m in masks], ups
+
+
+def _edge_runs(heads: list[str], ups: list[list[int]], tails: list[str], sep: str) -> list[str]:
+    """Each node's edges as one string, for the nodes that have any: the
+    node's head before the tail of each j in its up-list, edges joined by
+    sep. Heads and tails are made once per label, so no string is built per
+    edge."""
+    return [head + (sep + head).join([tails[j] for j in js]) for head, js in zip(heads, ups) if js]
 
 
 def render_export(args: argparse.Namespace) -> str:
-    labels, pairs = _export_object(args)
+    labels, ups = _export_object(args)
     if args.format == "json":
         import json
-        # json.dumps's default layout, without encoding every pair: each
-        # 1-based edge [i, j] joins two pieces made once per label.
+        # json.dumps's default layout for the 1-based edges [i, j]
         heads = [f"[{i}, " for i in range(1, len(labels) + 1)]
         tails = [f"{j}]" for j in range(1, len(labels) + 1)]
-        edges = ", ".join([heads[i] + tails[j] for i, j in pairs])
+        edges = ", ".join(_edge_runs(heads, ups, tails, ", "))
         return f'{{"n": {len(labels)}, "labels": {json.dumps(labels)}, "edges": [{edges}]}}'
     lines = ["graph G {"]
     lines += [f'  "{lab}";' for lab in labels]
-    lines += [f'  "{labels[i]}" -- "{labels[j]}";' for i, j in pairs]
+    heads = [f'  "{lab}" -- "' for lab in labels]
+    tails = [f'{lab}";' for lab in labels]
+    lines += _edge_runs(heads, ups, tails, "\n")
     lines.append("}")
     return "\n".join(lines)
 

@@ -60,28 +60,27 @@ class PosetDiagram(Record):
         return len(self.covers)
 
 
-def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[tuple[int, int]]]:
-    """The independent masks of g in canonical order, and the covers as
-    0-based index pairs into them.
+def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
+    """The independent masks of g in canonical order, and their up-lists:
+    ups[i] holds the indices of the masks that cover masks[i], ascending.
 
     Covers are exactly the pairs (s, s + v): adding one non-conflicting
     vertex to an independent set is the only way to go up one level. Taking
-    s in canonical order and v upward yields them already sorted.
+    v upward gives each up-list ascending, since the sets s + v of one level
+    sit in mask order.
     """
     if g.n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={g.n} exceeds the diagram cap of {MAX_CUBE_ORDER}")
     masks = _independent_masks(g)
     index = {m: i for i, m in enumerate(masks)}
     closed = [(row | (1 << v), 1 << v) for v, row in enumerate(g.adj)]
-    covers = [
-        (i, index[m | bit]) for i, m in enumerate(masks) for row, bit in closed if not (row & m)
-    ]
-    return masks, covers
+    ups = [[index[m | bit] for row, bit in closed if not (row & m)] for m in masks]
+    return masks, ups
 
 
 def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
     """Diagram of the independent subsets of g ordered by inclusion."""
-    masks, covers = _hasse_masks(g)
+    masks, ups = _hasse_masks(g)
     nodes = [VertexSubset(m, g.n) for m in masks]
     levels: list[list[VertexSubset]] = [[] for _ in range(masks[-1].bit_count() + 1)]
     for s in nodes:
@@ -89,7 +88,7 @@ def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
     return PosetDiagram(
         g.n,
         tuple(tuple(level) for level in levels),
-        tuple((nodes[i], nodes[j]) for i, j in covers),
+        tuple((low, nodes[j]) for low, js in zip(nodes, ups) for j in js),
     )
 
 
@@ -113,26 +112,35 @@ def _check_cube_order(n: int) -> None:
         raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
 
 
-def _hamming_pairs(masks: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """0-based index pairs (i, j) of the width-n masks at Hamming distance one,
-    masks[i] being the one with the bit cleared. For masks in canonical order
-    the pairs come out ascending: masks[j] sits one level above masks[i], and
-    raising bit v upward gives ascending j."""
+def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
+    """Up-lists of the masks at Hamming distance one: ups[i] holds the
+    indices j with masks[j] equal to masks[i] plus one bit.
+
+    They are filled from above, one lookup per set bit of each mask, so a
+    set need not be closed under clearing a bit. Taking j upward gives each
+    up-list ascending.
+    """
     index = {m: i for i, m in enumerate(masks)}
-    bits = [1 << v for v in range(n)]
-    return [
-        (i, j)
-        for i, m in enumerate(masks)
-        for bit in bits
-        if not m & bit and (j := index.get(m | bit)) is not None
-    ]
+    ups: list[list[int]] = [[] for _ in masks]
+    for j, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = index.get(m ^ low)
+            if i is not None:
+                ups[i].append(j)
+    return ups
 
 
 def _hamming_cube(vertices: Sequence[VertexSubset]) -> SimpleGraph:
     """Graph on the given strings with edges at Hamming distance one."""
-    n = vertices[0].n if vertices else 0
-    pairs = _hamming_pairs([s.bits for s in vertices], n)
-    return SimpleGraph.from_edges(len(vertices), ((i + 1, j + 1) for i, j in pairs))
+    rows = [0] * len(vertices)
+    for i, js in enumerate(_hamming_pairs([s.bits for s in vertices])):
+        for j in js:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return SimpleGraph(len(vertices), rows)
 
 
 def fibonacci_strings(n: int) -> list[VertexSubset]:

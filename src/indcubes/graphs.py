@@ -276,8 +276,10 @@ def _independent_masks(g: SimpleGraph) -> list[int]:
 
 
 def _mask_string(bits: int, n: int) -> str:
-    """The binary string b_1...b_n of a width-n mask: bit 0 first."""
-    return format(bits, f"0{n}b")[::-1] if n else ""
+    """The binary string b_1...b_n of a width-n mask: bit 0 first. A one
+    above bit n - 1 keeps the leading zeros, and the slice drops it with
+    the "0b"."""
+    return bin(bits | 1 << n)[:2:-1]
 
 
 def _canonical(masks: list[int], n: int) -> list[VertexSubset]:

@@ -93,16 +93,16 @@ def _routes_agree(h_max: int, n_max: int, routes, template: str) -> str | None:
 
 def _cover_count(build):
     """Route: the number of covers in the mask-level diagram of build(n, h)."""
-    return lambda n, h: len(cubes._hasse_masks(build(n, h))[1])
+    return lambda n, h: sum(map(len, cubes._hasse_masks(build(n, h))[1]))
 
 
-def _cube(strings: list[graphs.VertexSubset], n: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The cube on the given length-n strings as `export` builds it: the
-    masks, and the Hamming-1 index pairs between them. For canonical strings
-    both lists are in the order of `cubes._hasse_masks`, so equal lists mean
-    the same labelled graph."""
+def _cube(strings: list[graphs.VertexSubset]) -> tuple[list[int], list[list[int]]]:
+    """The cube on the given strings as `export` builds it: the masks, and
+    their Hamming-1 up-lists. For canonical strings both lists are in the
+    order of `cubes._hasse_masks`, so equal lists mean the same labelled
+    graph."""
     masks = [s.bits for s in strings]
-    return masks, cubes._hamming_pairs(masks, n)
+    return masks, cubes._hamming_pairs(masks)
 
 
 def _containing_table(n: int, h: int) -> list[list[int]]:
@@ -231,20 +231,22 @@ def check_hasse_grading(h_max: int, n_max: int) -> str | None:
     inclusion, and the cover count is the k-weighted sum of level sizes. A
     cover adds one vertex: step = high ^ low is one bit, and not one of low's."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
-        masks, covers = cubes._hasse_masks(g)
+        masks, ups = cubes._hasse_masks(g)
         if masks.count(0) != 1:
             return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
-        for i, j in covers:
-            low, high = masks[i], masks[j]
-            step = high ^ low
-            if low & step or not step or step & (step - 1):
-                return (
-                    f"n={n} h={h} cyclic={cyclic}: bad cover "
-                    f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
-                )
+        for low, js in zip(masks, ups):
+            for j in js:
+                high = masks[j]
+                step = high ^ low
+                if low & step or not step or step & (step - 1):
+                    return (
+                        f"n={n} h={h} cyclic={cyclic}: bad cover "
+                        f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
+                    )
+        covers = sum(map(len, ups))
         weighted = sum(map(int.bit_count, masks))
-        if len(covers) != weighted:
-            return f"n={n} h={h} cyclic={cyclic}: covers {len(covers)} != weighted levels {weighted}"
+        if covers != weighted:
+            return f"n={n} h={h} cyclic={cyclic}: covers {covers} != weighted levels {weighted}"
     return None
 
 
@@ -274,15 +276,16 @@ def check_fibonacci_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        masks, pairs = _cube(cubes.fibonacci_strings(n), n)
+        masks, ups = _cube(cubes.fibonacci_strings(n))
         if len(masks) != counting.fibonacci(n + 2):
             return f"n={n}: {len(masks)} vertices != F_{n + 2}"
+        edges = sum(map(len, ups))
         edges_expected = sum(
             counting.fibonacci(i) * counting.fibonacci(n - i + 1) for i in range(1, n + 1)
         )
-        if len(pairs) != edges_expected:
-            return f"n={n}: {len(pairs)} edges != {edges_expected}"
-        if (masks, pairs) != cubes._hasse_masks(graphs.power_path(n, 1)):
+        if edges != edges_expected:
+            return f"n={n}: {edges} edges != {edges_expected}"
+        if (masks, ups) != cubes._hasse_masks(graphs.power_path(n, 1)):
             return f"n={n}: cube differs from the path-power diagram"
     return None
 
@@ -293,12 +296,13 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(2, n_max + 1):
-        masks, pairs = _cube(cubes.lucas_strings(n), n)
+        masks, ups = _cube(cubes.lucas_strings(n))
         if len(masks) != counting.lucas(n):
             return f"n={n}: {len(masks)} vertices != L_{n}"
-        if len(pairs) != n * counting.fibonacci(n - 1):
-            return f"n={n}: {len(pairs)} edges != {n * counting.fibonacci(n - 1)}"
-        if (masks, pairs) != cubes._hasse_masks(graphs.power_cycle(n, 1)):
+        edges = sum(map(len, ups))
+        if edges != n * counting.fibonacci(n - 1):
+            return f"n={n}: {edges} edges != {n * counting.fibonacci(n - 1)}"
+        if (masks, ups) != cubes._hasse_masks(graphs.power_cycle(n, 1)):
             return f"n={n}: cube differs from the cycle-power diagram"
     return None
 
@@ -340,12 +344,13 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        masks, pairs = _cube(cubes.fibonacci_strings(n), n)
-        for i, j in pairs:
-            a, b = masks[i], masks[j]
-            if (a | b) not in (a, b):
-                a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
-                return f"n={n}: edge joins incomparable strings {a}, {b}"
+        masks, ups = _cube(cubes.fibonacci_strings(n))
+        for a, js in zip(masks, ups):
+            for j in js:
+                b = masks[j]
+                if (a | b) not in (a, b):
+                    a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
+                    return f"n={n}: edge joins incomparable strings {a}, {b}"
     return None
 
 

@@ -9,7 +9,17 @@ import pytest
 
 from indcubes import cli, counting, verify
 from indcubes.cli import main
-from indcubes.cubes import power_patterns
+from indcubes.cubes import (
+    avoiding_strings,
+    fibonacci_cube,
+    fibonacci_strings,
+    generalized_cube,
+    hasse_diagram,
+    lucas_cube,
+    lucas_strings,
+    power_patterns,
+)
+from indcubes.graphs import power_cycle, power_path
 
 
 def run_cli(capsys, *argv):
@@ -429,24 +439,60 @@ def _export_args(family, n):
     return ["--family", family, "--n", str(n)]
 
 
+def _public_export(family, what, n, patterns=("11", "101"), circular=True):
+    """Labels and 1-based edges of an export, read from the public objects
+    instead of the CLI's own route; path and cycle at h = 2."""
+    if family in ("path", "cycle"):
+        g = (power_path if family == "path" else power_cycle)(n, 2)
+        if what == "graph":
+            return [str(i) for i in range(1, n + 1)], list(g.edges())
+        d = hasse_diagram(g)
+        nodes = d.nodes()
+        index = {s: i for i, s in enumerate(nodes, 1)}
+        return [s.to_string() for s in nodes], [(index[a], index[b]) for a, b in d.covers]
+    if family == "fib-cube":
+        strings, cube = fibonacci_strings(n), fibonacci_cube(n)
+    elif family == "lucas-cube":
+        strings, cube = lucas_strings(n), lucas_cube(n)
+    else:
+        strings = avoiding_strings(n, patterns, circular)
+        cube = generalized_cube(n, patterns, circular)
+    return [s.to_string() for s in strings], list(cube.edges())
+
+
+def _dot_text(labels, edges):
+    """The DOT layout: a `graph G` block, one quoted label per line, then one
+    line per edge, each indented by two spaces."""
+    lines = ["graph G {"] + [f'  "{lab}";' for lab in labels]
+    lines += [f'  "{labels[i - 1]}" -- "{labels[j - 1]}";' for i, j in edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _json_text(labels, edges):
+    """The JSON layout: json.dumps's default one of n, labels, 1-based edges."""
+    edges = [[i, j] for i, j in edges]
+    return json.dumps({"n": len(labels), "labels": labels, "edges": edges}) + "\n"
+
+
+_LAYOUT_CASES = pytest.mark.parametrize(
+    "family, what",
+    [("path", "graph"), ("path", "hasse"), ("cycle", "graph"), ("cycle", "hasse"),
+     ("fib-cube", "graph"), ("lucas-cube", "graph"), ("gen-cube", "graph")],
+)
+
+
 class TestExportJson:
-    """The JSON export prints exactly what json.dumps makes of the labels and
-    the 1-based edge pairs, in its default layout."""
+    """The JSON export prints exactly what json.dumps makes of the public
+    object's labels and 1-based edges, in its default layout."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 9])
-    @pytest.mark.parametrize(
-        "family, what",
-        [("path", "graph"), ("path", "hasse"), ("cycle", "graph"), ("cycle", "hasse"),
-         ("fib-cube", "graph"), ("lucas-cube", "graph"), ("gen-cube", "graph")],
-    )
+    @_LAYOUT_CASES
     def test_matches_json_dumps(self, capsys, family, what, n):
-        argv = ["export", *_export_args(family, n), "--what", what, "--format", "json"]
-        labels, pairs = cli._export_object(cli.build_parser().parse_args(argv))
-        expected = json.dumps(
-            {"n": len(labels), "labels": labels, "edges": [(i + 1, j + 1) for i, j in pairs]}
+        labels, edges = _public_export(family, what, n)
+        code, out, _ = run_cli(
+            capsys, "export", *_export_args(family, n), "--what", what, "--format", "json"
         )
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and out == expected + "\n"
+        assert code == 0 and out == _json_text(labels, edges)
 
     @pytest.mark.parametrize(
         "argv, n, labels",
@@ -462,18 +508,78 @@ class TestExportJson:
         assert code == 0 and out == f'{{"n": {n}, "labels": {labels}, "edges": []}}\n'
 
 
+class TestExportDot:
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    @_LAYOUT_CASES
+    def test_matches_the_spelled_out_layout(self, capsys, family, what, n):
+        labels, edges = _public_export(family, what, n)
+        code, out, _ = run_cli(
+            capsys, "export", *_export_args(family, n), "--what", what, "--format", "dot"
+        )
+        assert code == 0 and out == _dot_text(labels, edges)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize(
+    "patterns, n, nodes",
+    [("0,1", 1, 0), ("0,1", 9, 0), ("1", 0, 1), ("1", 9, 1)],
+    ids=["no-strings-1", "no-strings-9", "no-edges-0", "no-edges-9"],
+)
+def test_gen_cube_without_strings_or_edges(capsys, patterns, n, nodes, fmt):
+    labels, edges = _public_export("gen-cube", "graph", n, patterns.split(","), False)
+    assert (len(labels), edges) == (nodes, [])
+    code, out, _ = run_cli(
+        capsys, "export", "--family", "gen-cube", "--n", str(n), "--patterns", patterns,
+        "--what", "graph", "--format", fmt,
+    )
+    assert code == 0 and out == (_dot_text if fmt == "dot" else _json_text)(labels, edges)
+
+
+def _child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+class TestExportMemory:
+    """A fresh process's peak resident memory (VmHWM), read at exit."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from indcubes import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as f:\n"
+        "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+        "print(code, hwm, file=sys.stderr)\n"
+    )
+
+    def _peak_kb(self, n):
+        argv = ["export", "--family", "fib-cube", "--n", str(n), "--what", "graph", "--format", "dot"]
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+        code, peak = done.stderr.split()
+        assert code == "0", done.stderr
+        return int(peak)
+
+    def test_fib_cube_20_dot_export_grows_by_less_than_24_mb(self):
+        # 100,610 edges: 29.5 MB over the n = 2 run when each edge had its
+        # own tuple and string, about 20 MB with per-node up-lists
+        assert self._peak_kb(20) - self._peak_kb(2) < 24_000
+
+
 class TestColdStart:
     """Every CLI call is a fresh process, so importing the CLI loads nothing
     that only some commands use."""
 
-    def _env(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return {**os.environ, "PYTHONPATH": path}
-
     def _run(self, *args):
         return subprocess.run(
-            [sys.executable, *args], env=self._env(), capture_output=True, text=True, timeout=120
+            [sys.executable, *args], env=_child_env(), capture_output=True, text=True, timeout=120
         )
 
     def test_import_loads_no_unused_modules(self):
@@ -510,7 +616,7 @@ class TestColdStart:
         # closes the pipe while the command is still writing
         proc = subprocess.Popen(
             [sys.executable, "-m", "indcubes", *args],
-            env=self._env(),
+            env=_child_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

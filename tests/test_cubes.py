@@ -1,9 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from indcubes import counting
 from indcubes.cubes import (
+    _hamming_pairs,
+    _hasse_masks,
     avoiding_strings,
     diagram_as_graph,
     fibonacci_cube,
@@ -294,3 +299,66 @@ class TestSameLabeledGraph:
         other_labels = _labels(avoiding_strings(2, ["10"]))  # 00, 01, 11
         assert len(other_labels) == len(labels)
         assert not same_labeled_graph(g, labels, other, other_labels)
+
+
+def _canonical_order(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+@st.composite
+def random_graphs(draw):
+    """A SimpleGraph on at most 9 vertices with an arbitrary edge set."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def canonical_mask_sets(draw):
+    """Any set of masks of one width up to 8, in canonical order."""
+    n = draw(st.integers(0, 8))
+    return _canonical_order(draw(st.sets(st.integers(0, (1 << n) - 1))))
+
+
+def _ascending(ups):
+    return all(a < b for js in ups for a, b in zip(js, js[1:]))
+
+
+def _brute_hamming_ups(masks):
+    """For each mask, the indices of the masks equal to it plus one bit."""
+    return [
+        [j for j, b in enumerate(masks) if b & ~a and (a ^ b).bit_count() == 1] for a in masks
+    ]
+
+
+class TestUpLists:
+    """The mask-level up-lists against relations computed from all pairs."""
+
+    @given(random_graphs())
+    def test_hasse_masks_are_the_brute_force_covers(self, g):
+        masks, ups = _hasse_masks(g)
+        edges = [1 << (i - 1) | 1 << (j - 1) for i, j in g.edges()]
+        independent = [m for m in range(1 << g.n) if all(m & e != e for e in edges)]
+        assert masks == _canonical_order(independent)
+        covers = [
+            [j for j, b in enumerate(masks) if a & b == a and (a ^ b).bit_count() == 1]
+            for a in masks
+        ]
+        assert ups == covers
+        assert _ascending(ups)
+
+    @given(canonical_mask_sets())
+    def test_hamming_pairs_are_the_brute_force_hamming_one_relation(self, masks):
+        ups = _hamming_pairs(masks)
+        assert ups == _brute_hamming_ups(masks)
+        assert _ascending(ups)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_avoiders_of_00_not_closed_under_clearing_a_bit(self, n):
+        masks = [s.bits for s in avoiding_strings(n, ["00"])]
+        present = set(masks)
+        assert any(m ^ 1 << v not in present for m in masks for v in range(n) if m >> v & 1)
+        ups = _hamming_pairs(masks)
+        assert ups == _brute_hamming_ups(masks)
+        assert _ascending(ups)

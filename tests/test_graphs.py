@@ -13,6 +13,7 @@ from indcubes.graphs import (
     VertexSubset,
     _canonical,
     _independent_masks,
+    _mask_string,
     contains_pattern,
     enumerate_independent,
     hamming,
@@ -353,3 +354,23 @@ class TestContainsPattern:
             all(text[(start + t) % n] == pattern[t] for t in range(L)) for start in range(n)
         )
         assert contains_pattern(s, pattern, circular=True) == expected
+
+
+class TestMaskString:
+    """_mask_string against format(), read backwards so that b_1 comes first."""
+
+    @staticmethod
+    def reference(bits, n):
+        return format(bits, f"0{n}b")[::-1] if n else ""
+
+    def test_every_mask_up_to_width_10(self):
+        for n in range(11):
+            for bits in range(1 << n):
+                assert _mask_string(bits, n) == self.reference(bits, n), (bits, n)
+
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_sampled_wide_masks(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for bits in [0, 1, 1 << (n - 1), full] + [rng.getrandbits(n) for _ in range(2000)]:
+            assert _mask_string(bits, n) == self.reference(bits, n), (bits, n)

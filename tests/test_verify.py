@@ -288,28 +288,45 @@ def test_membership_counterexample_names_b1_first(monkeypatch):
     assert verify.check_membership_equivalence(1, 4) == "n=4 h=1 cyclic=False mask=1100"
 
 
+def _edited(ups, drop=None, add=None):
+    """A copy of the up-lists without the cover `drop` and with the cover
+    `add`, each a (low, high) index pair; every list stays ascending."""
+    ups = [list(js) for js in ups]
+    if drop:
+        ups[drop[0]].remove(drop[1])
+    if add:
+        ups[add[0]] = sorted(ups[add[0]] + [add[1]])
+    return ups
+
+
+def _last_cover(ups):
+    """The last cover in (low, high) order, as a (low, high) index pair."""
+    low = max(i for i, js in enumerate(ups) if js)
+    return low, ups[low][-1]
+
+
 @pytest.mark.parametrize(
     "tamper, counterexample",
     [
         (
-            lambda masks, covers: (masks, covers[:-1]),
+            lambda masks, ups: (masks, _edited(ups, drop=_last_cover(ups))),
             "n=5 h=1 cyclic=True: covers 14 != weighted levels 15",
         ),
-        (
-            lambda masks, covers: (masks, [covers[0][::-1]] + covers[1:]),
+        (  # the first cover, from the empty set to {v_1}, turned downward
+            lambda masks, ups: (masks, _edited(ups, drop=(0, 1), add=(1, 0))),
             "n=5 h=1 cyclic=True: bad cover 10000 -> 00000",
         ),
         (
-            lambda masks, covers: (masks[1:2] + masks[1:], covers),
+            lambda masks, ups: (masks[1:2] + masks[1:], ups),
             "n=5 h=1 cyclic=True: level 0 is not [empty]",
         ),
         pytest.param(  # masks[6] is {v_1, v_3}: a "cover" from the empty set skips level 1
-            lambda masks, covers: (masks, [(0, 6)] + covers[1:]),
+            lambda masks, ups: (masks, _edited(ups, drop=(0, 1), add=(0, 6))),
             "n=5 h=1 cyclic=True: bad cover 00000 -> 10100",
             id="cover-skips-a-level",
         ),
         pytest.param(  # a node "covering" itself adds no vertex
-            lambda masks, covers: (masks, [(1, 1)] + covers[1:]),
+            lambda masks, ups: (masks, _edited(ups, drop=(0, 1), add=(1, 1))),
             "n=5 h=1 cyclic=True: bad cover 10000 -> 10000",
             id="cover-of-itself",
         ),
@@ -320,8 +337,8 @@ def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
     cycle = graphs.power_cycle(5, 1)
 
     def tampered(g):
-        masks, covers = real(g)
-        return tamper(masks, covers) if g == cycle else (masks, covers)
+        masks, ups = real(g)
+        return tamper(masks, ups) if g == cycle else (masks, ups)
 
     monkeypatch.setattr(cubes, "_hasse_masks", tampered)
     assert verify.check_hasse_grading(1, 6) == counterexample
@@ -405,15 +422,15 @@ def _drop_last(result):
         (
             "check_fibonacci_cube",
             "_hamming_pairs",
-            lambda masks, n: n == 4,
-            _drop_last,
+            lambda masks: len(masks) == 8,  # the F_6 strings of length 4
+            lambda ups: _edited(ups, drop=_last_cover(ups)),
             "n=4: 9 edges != 10",
         ),
         (
             "check_lucas_cube",
             "_hasse_masks",
             lambda g: g == graphs.power_cycle(5, 1),
-            lambda result: (result[0], result[1][:-1]),
+            lambda result: (result[0], _edited(result[1], drop=_last_cover(result[1]))),
             "n=5: cube differs from the cycle-power diagram",
         ),
         (
@@ -440,8 +457,8 @@ def _drop_last(result):
         (
             "check_cube_edges_comparable",
             "_hamming_pairs",
-            lambda masks, n: n == 3,
-            lambda pairs: pairs + [(1, 2)],
+            lambda masks: len(masks) == 5,  # the F_5 strings of length 3
+            lambda ups: _edited(ups, add=(1, 2)),
             "n=3: edge joins incomparable strings 100, 010",
         ),
     ],
