@@ -119,12 +119,11 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]
         masks, ups = cubes._hasse_masks(g)
     else:
         if family == "fib-cube":
-            strings = cubes.fibonacci_strings(n)
+            masks = cubes._fibonacci_masks(n)
         elif family == "lucas-cube":
-            strings = cubes.lucas_strings(n)
+            masks = cubes._lucas_masks(n)
         else:  # gen-cube
-            strings = cubes.avoiding_strings(n, args.patterns, args.circular)
-        masks = [s.bits for s in strings]
+            masks = cubes._avoiding_masks(n, args.patterns, args.circular)
         ups = cubes._hamming_pairs(masks)
     return [graphs._mask_string(m, n) for m in masks], ups
 

@@ -35,8 +35,6 @@ def path_count_k(n: int, h: int, k: int) -> int:
 
 def path_count_k_clamped(n: int, h: int, k: int) -> int:
     """path_count_k with n clamped below at 0 (so n may be any integer)."""
-    if h < 0 or k < 0:
-        raise ValueError("h, k must be nonnegative")
     return path_count_k(max(n, 0), h, k)
 
 
@@ -64,8 +62,6 @@ def path_count(n: int, h: int) -> int:
 
 def path_count_clamped(n: int, h: int) -> int:
     """path_count with n clamped below at 0."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
     return path_count(max(n, 0), h)
 
 

@@ -16,7 +16,6 @@ from .graphs import (
     Record,
     SimpleGraph,
     VertexSubset,
-    _canonical,
     _check_pattern,
     _independent_masks,
     _set_field,
@@ -60,6 +59,13 @@ class PosetDiagram(Record):
         return len(self.covers)
 
 
+def _check_cube_order(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_CUBE_ORDER:
+        raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
+
+
 def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     """The independent masks of g in canonical order, and their up-lists:
     ups[i] holds the indices of the masks that cover masks[i], ascending.
@@ -69,8 +75,7 @@ def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     v upward gives each up-list ascending, since the sets s + v of one level
     sit in mask order.
     """
-    if g.n > MAX_CUBE_ORDER:
-        raise CapacityError(f"n={g.n} exceeds the diagram cap of {MAX_CUBE_ORDER}")
+    _check_cube_order(g.n)
     masks = _independent_masks(g)
     index = {m: i for i, m in enumerate(masks)}
     closed = [(row | (1 << v), 1 << v) for v, row in enumerate(g.adj)]
@@ -105,13 +110,6 @@ def diagram_as_graph(d: PosetDiagram) -> SimpleGraph:
     return SimpleGraph(len(nodes), rows)
 
 
-def _check_cube_order(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_CUBE_ORDER:
-        raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
-
-
 def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
     """Up-lists of the masks at Hamming distance one: ups[i] holds the
     indices j with masks[j] equal to masks[i] plus one bit.
@@ -133,36 +131,38 @@ def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
     return ups
 
 
-def _hamming_cube(vertices: Sequence[VertexSubset]) -> SimpleGraph:
-    """Graph on the given strings with edges at Hamming distance one."""
-    rows = [0] * len(vertices)
-    for i, js in enumerate(_hamming_pairs([s.bits for s in vertices])):
+def _hamming_cube(masks: Sequence[int]) -> SimpleGraph:
+    """Graph on the given masks with edges at Hamming distance one."""
+    rows = [0] * len(masks)
+    for i, js in enumerate(_hamming_pairs(masks)):
         for j in js:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return SimpleGraph(len(vertices), rows)
+    return SimpleGraph(len(masks), rows)
 
 
-def fibonacci_strings(n: int) -> list[VertexSubset]:
-    """Binary strings of length n with no two consecutive ones, canonical order.
+def _fibonacci_masks(n: int) -> list[int]:
+    """Masks of the length-n strings with no two consecutive ones, canonical order.
 
     Length-k strings are the length-(k-1) ones followed by 0, plus the
     length-(k-2) ones followed by 01, so the cost follows the answer, not 2^n.
+    The 01-extended half lies above the rest, so each length comes out
+    ascending by value, and one stable sort by cardinality makes it canonical.
     """
     _check_cube_order(n)
     shorter, masks = [0], [0]  # at k = 1 the shorter [0] stands for "" before "1"
     for k in range(1, n + 1):
         shorter, masks = masks, masks + [m | 1 << (k - 1) for m in shorter]
-    return _canonical(masks, n)
+    return sorted(masks, key=int.bit_count)
 
 
-def lucas_strings(n: int) -> list[VertexSubset]:
-    """Fibonacci strings whose first and last bits are not both one."""
-    return [s for s in fibonacci_strings(n) if not (s.bits & 1 and s.bits >> (n - 1) & 1)]
+def _lucas_masks(n: int) -> list[int]:
+    """Fibonacci masks whose first and last bits are not both one."""
+    return [m for m in _fibonacci_masks(n) if not (m & 1 and m >> (n - 1) & 1)]
 
 
-def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) -> list[VertexSubset]:
-    """Length-n strings containing none of the patterns, canonical order.
+def _avoiding_masks(n: int, patterns: Sequence[str], circular: bool = False) -> list[int]:
+    """Masks of the length-n strings containing none of the patterns, canonical order.
 
     Strings grow one bit at a time, and a prefix is dropped as soon as it ends
     with a pattern, so the cost follows the number of avoiders, not 2^n.
@@ -194,23 +194,38 @@ def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) ->
             if not any((wide >> start) & window == p for window, p, starts in wraps for start in starts):
                 survivors.append(m)
         masks = survivors
-    return _canonical(masks, n)
+    return sorted(sorted(masks), key=int.bit_count)
+
+
+def fibonacci_strings(n: int) -> list[VertexSubset]:
+    """Binary strings of length n with no two consecutive ones, canonical order."""
+    return [VertexSubset(m, n) for m in _fibonacci_masks(n)]
+
+
+def lucas_strings(n: int) -> list[VertexSubset]:
+    """Fibonacci strings whose first and last bits are not both one."""
+    return [VertexSubset(m, n) for m in _lucas_masks(n)]
+
+
+def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) -> list[VertexSubset]:
+    """Length-n strings avoiding every pattern (linearly or circularly), canonical order."""
+    return [VertexSubset(m, n) for m in _avoiding_masks(n, patterns, circular)]
 
 
 def fibonacci_cube(n: int) -> SimpleGraph:
     """Hamming-distance-1 graph on the Fibonacci strings of length n."""
-    return _hamming_cube(fibonacci_strings(n))
+    return _hamming_cube(_fibonacci_masks(n))
 
 
 def lucas_cube(n: int) -> SimpleGraph:
     """Hamming-distance-1 graph on the circularly 11-avoiding strings."""
-    return _hamming_cube(lucas_strings(n))
+    return _hamming_cube(_lucas_masks(n))
 
 
 def generalized_cube(n: int, patterns: Sequence[str], circular: bool = False) -> SimpleGraph:
     """Hamming-distance-1 graph on the strings avoiding every pattern,
     linearly or circularly."""
-    return _hamming_cube(avoiding_strings(n, patterns, circular))
+    return _hamming_cube(_avoiding_masks(n, patterns, circular))
 
 
 def power_patterns(h: int) -> list[str]:

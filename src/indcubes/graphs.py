@@ -282,13 +282,6 @@ def _mask_string(bits: int, n: int) -> str:
     return bin(bits | 1 << n)[:2:-1]
 
 
-def _canonical(masks: list[int], n: int) -> list[VertexSubset]:
-    """Sort the masks in place by value, then stably by cardinality, and wrap them."""
-    masks.sort()
-    masks.sort(key=int.bit_count)
-    return [VertexSubset(m, n) for m in masks]
-
-
 def hamming(a: VertexSubset, b: VertexSubset) -> int:
     """Number of positions where the two binary strings differ."""
     if a.n != b.n:

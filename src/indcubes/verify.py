@@ -96,15 +96,6 @@ def _cover_count(build):
     return lambda n, h: sum(map(len, cubes._hasse_masks(build(n, h))[1]))
 
 
-def _cube(strings: list[graphs.VertexSubset]) -> tuple[list[int], list[list[int]]]:
-    """The cube on the given strings as `export` builds it: the masks, and
-    their Hamming-1 up-lists. For canonical strings both lists are in the
-    order of `cubes._hasse_masks`, so equal lists mean the same labelled
-    graph."""
-    masks = [s.bits for s in strings]
-    return masks, cubes._hamming_pairs(masks)
-
-
 def _containing_table(n: int, h: int) -> list[list[int]]:
     """path_count_k_containing(n, h, k, i): one row per k = 1..max size + 1,
     one column per vertex i = 1..n."""
@@ -276,7 +267,8 @@ def check_fibonacci_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        masks, ups = _cube(cubes.fibonacci_strings(n))
+        masks = cubes._fibonacci_masks(n)
+        ups = cubes._hamming_pairs(masks)
         if len(masks) != counting.fibonacci(n + 2):
             return f"n={n}: {len(masks)} vertices != F_{n + 2}"
         edges = sum(map(len, ups))
@@ -296,7 +288,8 @@ def check_lucas_cube(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(2, n_max + 1):
-        masks, ups = _cube(cubes.lucas_strings(n))
+        masks = cubes._lucas_masks(n)
+        ups = cubes._hamming_pairs(masks)
         if len(masks) != counting.lucas(n):
             return f"n={n}: {len(masks)} vertices != L_{n}"
         edges = sum(map(len, ups))
@@ -311,8 +304,8 @@ def check_pattern_cubes(h_max: int, n_max: int) -> str | None:
     """Avoiding the h-power pattern set linearly (circularly) yields exactly
     the independence strings of the path (cycle) power, for 2 <= h <= h_max."""
     for n, h, cyclic, g in _powers(range(2, h_max + 1), n_max):
-        got = cubes.avoiding_strings(n, cubes.power_patterns(h), cyclic)
-        if got != graphs.enumerate_independent(g):
+        got = cubes._avoiding_masks(n, cubes.power_patterns(h), cyclic)
+        if got != graphs._independent_masks(g):
             return f"n={n} h={h} circular={cyclic}: vertex sets differ"
     return None
 
@@ -323,16 +316,16 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     halves = (
-        ("linear", False, "Fibonacci", cubes.fibonacci_strings, cubes.fibonacci_cube),
-        ("circular", True, "Lucas", cubes.lucas_strings, cubes.lucas_cube),
+        ("linear", False, "Fibonacci", cubes._fibonacci_masks, cubes.fibonacci_cube),
+        ("circular", True, "Lucas", cubes._lucas_masks, cubes.lucas_cube),
     )
     for n in range(n_max + 1):
-        for mode, circular, name, strings, cube in halves:
+        for mode, circular, name, masks, cube in halves:
             if circular and n < 2:
                 continue
-            if cubes.avoiding_strings(n, ["11"], circular) != strings(n):
+            if cubes._avoiding_masks(n, ["11"], circular) != masks(n):
                 return f"n={n}: {mode} 11-avoiders differ from {name} strings"
-            # equal string lists, so graph equality is labelled-graph equality
+            # equal mask lists, so graph equality is labelled-graph equality
             if cubes.generalized_cube(n, ["11"], circular) != cube(n):
                 return f"n={n}: {mode} 11-cube differs from the {name} cube"
     return None
@@ -344,8 +337,8 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
     if h_max < 1:
         return None
     for n in range(n_max + 1):
-        masks, ups = _cube(cubes.fibonacci_strings(n))
-        for a, js in zip(masks, ups):
+        masks = cubes._fibonacci_masks(n)
+        for a, js in zip(masks, cubes._hamming_pairs(masks)):
             for j in js:
                 b = masks[j]
                 if (a | b) not in (a, b):

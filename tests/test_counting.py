@@ -58,6 +58,15 @@ class TestPathCounts:
         assert counting.path_count_k_clamped(4, 1, 1) == 4
         assert counting.path_count_clamped(-7, 2) == 1
 
+    @pytest.mark.parametrize("n", [-3, 0, 5])
+    def test_clamped_rejects_negative_order_and_size(self, n):
+        with pytest.raises(ValueError):
+            counting.path_count_clamped(n, -1)
+        with pytest.raises(ValueError):
+            counting.path_count_k_clamped(n, -1, 1)
+        with pytest.raises(ValueError):
+            counting.path_count_k_clamped(n, 1, -1)
+
     @pytest.mark.parametrize("h", range(0, 4))
     @pytest.mark.parametrize("n", range(0, 11))
     def test_against_brute_force(self, n, h):

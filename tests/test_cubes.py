@@ -2,13 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indcubes import counting
 from indcubes.cubes import (
+    _avoiding_masks,
+    _fibonacci_masks,
     _hamming_pairs,
     _hasse_masks,
+    _lucas_masks,
     avoiding_strings,
     diagram_as_graph,
     fibonacci_cube,
@@ -303,6 +306,25 @@ class TestSameLabeledGraph:
 
 def _canonical_order(masks):
     return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+@settings(deadline=None, max_examples=50)  # up to ~40,000 avoiders wrapped per example
+@given(
+    st.integers(0, 16),
+    st.lists(st.text("01", min_size=1, max_size=4), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_mask_generators_are_canonical_and_back_the_string_views(n, patterns, circular):
+    """Each private generator's masks strictly increase in (cardinality,
+    mask), and the public strings are exactly those masks, wrapped."""
+    for masks, strings in (
+        (_fibonacci_masks(n), fibonacci_strings(n)),
+        (_lucas_masks(n), lucas_strings(n)),
+        (_avoiding_masks(n, patterns, circular), avoiding_strings(n, patterns, circular)),
+    ):
+        keys = [(m.bit_count(), m) for m in masks]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert masks == [s.bits for s in strings]
 
 
 @st.composite

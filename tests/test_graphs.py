@@ -11,7 +11,6 @@ from indcubes.graphs import (
     CapacityError,
     SimpleGraph,
     VertexSubset,
-    _canonical,
     _independent_masks,
     _mask_string,
     contains_pattern,
@@ -124,16 +123,6 @@ class TestVertexSubsetContract:
         with pytest.raises(ValueError):
             VertexSubset(-1, 4)
         assert VertexSubset((1 << 64) - 1, 64).cardinality == 64
-
-
-def test_canonical_matches_the_key_order():
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(0, 16)
-        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 200)))
-        want = sorted(masks, key=lambda m: (m.bit_count(), m))
-        assert [s.bits for s in _canonical(masks, n)] == want
-        assert masks == want  # sorted in place
 
 
 class TestPowerGraphs:

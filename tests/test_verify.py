@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from indcubes import counting, cubes, graphs, verify
+from indcubes import cli, counting, cubes, graphs, verify
 
 DEFAULT_REPORT = [
     "PASS  path-oracle-agreement  [h<=4, n<=14]",
@@ -345,12 +345,12 @@ def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
 
 
 def test_pattern_cube_counterexample_text(monkeypatch):
-    real = cubes.avoiding_strings
+    real = cubes._avoiding_masks
     def tampered(n, patterns, circular=False):
-        strings = real(n, patterns, circular)
-        return strings[:-1] if (n, circular) == (6, True) else strings
+        masks = real(n, patterns, circular)
+        return masks[:-1] if (n, circular) == (6, True) else masks
 
-    monkeypatch.setattr(cubes, "avoiding_strings", tampered)
+    monkeypatch.setattr(cubes, "_avoiding_masks", tampered)
     assert verify.check_pattern_cubes(2, 7) == "n=6 h=2 circular=True: vertex sets differ"
 
 
@@ -405,6 +405,36 @@ def test_oracle_checks_read_masks(monkeypatch, check):
     assert getattr(verify, check)(2, 8) is None
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        "check_fibonacci_cube",
+        "check_lucas_cube",
+        "check_pattern_cubes",
+        "check_single_pattern_cubes",
+        "check_cube_edges_comparable",
+        "fib-cube",
+        "lucas-cube",
+        "gen-cube",
+    ],
+)
+def test_cube_routes_build_no_vertex_subset(monkeypatch, route):
+    """The cube checks and the cube exports work on int masks throughout."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrapped a cube string only to read its mask")
+
+    monkeypatch.setattr(cubes, "VertexSubset", refuse)
+    monkeypatch.setattr(graphs, "VertexSubset", refuse)
+    if route.startswith("check_"):
+        assert getattr(verify, route)(3, 9) is None
+    else:
+        argv = ["export", "--family", route, "--n", "9", "--what", "graph", "--format", "dot"]
+        if route == "gen-cube":
+            argv += ["--patterns", "11,101", "--circular"]
+        labels, ups = cli._export_object(cli.build_parser().parse_args(argv))
+        assert len(labels) == len(ups) > 1
+
+
 def _drop_last(result):
     return result[:-1]
 
@@ -414,7 +444,7 @@ def _drop_last(result):
     [
         (
             "check_fibonacci_cube",
-            "fibonacci_strings",
+            "_fibonacci_masks",
             lambda n: n == 4,
             _drop_last,
             "n=4: 7 vertices != F_6",
@@ -435,14 +465,14 @@ def _drop_last(result):
         ),
         (
             "check_lucas_cube",
-            "lucas_strings",
+            "_lucas_masks",
             lambda n: n == 6,
             _drop_last,
             "n=6: 17 vertices != L_6",
         ),
         (
             "check_single_pattern_cubes",
-            "avoiding_strings",
+            "_avoiding_masks",
             lambda n, patterns, circular=False: (n, circular) == (5, True),
             _drop_last,
             "n=5: circular 11-avoiders differ from Lucas strings",
