@@ -114,6 +114,11 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
     """
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
+    return VertexSubset(_indices_to_mask(n, h, indices), n)
+
+
+def _indices_to_mask(n: int, h: int, indices: Sequence[int]) -> int:
+    """The mask of :func:`indices_to_subset`, with its index errors."""
     k = len(indices)
     upper = n - h * k + h
     bits = prev = 0
@@ -127,7 +132,7 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
         prev = idx
     if prev > upper:  # prev is the last index, and the first is >= 1
         raise ValueError(f"indices must lie in 1..{upper} for k={k}")
-    return VertexSubset(bits, n)
+    return bits
 
 
 def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
@@ -141,7 +146,12 @@ def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
         raise ValueError(f"subset width {s.n} != n={n}")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    indices, m = [], s.bits
+    return _mask_to_indices(h, s.bits)
+
+
+def _mask_to_indices(h: int, bits: int) -> list[int]:
+    """The indices of :func:`subset_to_indices`, with its independence error."""
+    indices, m = [], bits
     prev = shift = 0  # the j-th member (0-based) v gives index v - j*h
     while m:
         low = m & -m

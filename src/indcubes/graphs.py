@@ -234,10 +234,15 @@ def is_independent(g: SimpleGraph, s: VertexSubset) -> bool:
     """True iff no two members of s are adjacent in g."""
     if s.n != g.n:
         raise ValueError(f"subset width {s.n} != graph order {g.n}")
-    bits = m = s.bits
+    return _is_independent_mask(g.adj, s.bits)
+
+
+def _is_independent_mask(adj: tuple[int, ...], bits: int) -> bool:
+    """True iff no two set bits of the mask are adjacent under the rows adj."""
+    m = bits
     while m:
         low = m & -m
-        if g.adj[low.bit_length() - 1] & bits:
+        if adj[low.bit_length() - 1] & bits:
             return False
         m ^= low
     return True

@@ -146,22 +146,25 @@ def check_cycle_regularity(h_max: int, n_max: int) -> str | None:
 
 
 def check_enumeration_order(h_max: int, n_max: int) -> str | None:
-    """Enumeration output is strictly sorted by (cardinality, mask value)."""
+    """Enumerated masks are strictly sorted by (cardinality, mask value), the
+    sort_key of the subsets that enumerate_independent wraps them in."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
-        keys = [s.sort_key() for s in graphs.enumerate_independent(g)]
+        keys = [(m.bit_count(), m) for m in graphs._independent_masks(g)]
         if any(map(operator.ge, keys, keys[1:])):
             return f"n={n} h={h} cyclic={cyclic}: output not strictly sorted"
     return None
 
 
 def check_membership_equivalence(h_max: int, n_max: int) -> str | None:
-    """is_independent agrees with membership in the enumeration, over the
-    full power set of small graphs."""
-    is_independent, subset = graphs.is_independent, graphs.VertexSubset
+    """The independence test agrees with membership in the enumeration, over
+    the full power set of small graphs. Reads the mask core that
+    is_independent wraps, so no mask is wrapped in a VertexSubset."""
+    is_independent = graphs._is_independent_mask
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
         enumerated = set(graphs._independent_masks(g))
+        adj = g.adj
         for m in range(1 << n):
-            if is_independent(g, subset(m, n)) != (m in enumerated):
+            if is_independent(adj, m) != (m in enumerated):
                 return f"n={n} h={h} cyclic={cyclic} mask={graphs._mask_string(m, n)}"
     return None
 
@@ -195,24 +198,27 @@ def check_containing_column_sum(h_max: int, n_max: int) -> str | None:
 
 def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
     """Subsets -> indices -> subsets and indices -> subsets -> indices are
-    both the identity, and every forward image is independent."""
-    enumerate_independent, is_independent = graphs.enumerate_independent, graphs.is_independent
-    to_indices, to_subset = counting.subset_to_indices, counting.indices_to_subset
+    both the identity, and every forward image is independent. Walks the
+    enumerated masks through the mask cores that subset_to_indices and
+    indices_to_subset wrap, so no subset is wrapped in a VertexSubset."""
+    is_independent, mask_string = graphs._is_independent_mask, graphs._mask_string
+    to_indices, to_mask = counting._mask_to_indices, counting._indices_to_mask
     for h in range(h_max + 1):
         for n in range(n_max + 1):
             g = graphs.power_path(n, h)
-            for s in enumerate_independent(g):
-                back = to_subset(n, h, to_indices(n, h, s))
-                if back != s:
-                    return f"n={n} h={h} subset={s.to_string()}: roundtrip gave {back.to_string()}"
+            for m in graphs._independent_masks(g):
+                back = to_mask(n, h, to_indices(h, m))
+                if back != m:
+                    s, back = mask_string(m, n), mask_string(back, n)
+                    return f"n={n} h={h} subset={s}: roundtrip gave {back}"
             for k in range(counting._max_size(n, h) + 1):
                 upper = n - h * k + h
                 for combo in itertools.combinations(range(1, upper + 1), k):
                     indices = list(combo)
-                    image = to_subset(n, h, indices)
-                    if not is_independent(g, image):
+                    image = to_mask(n, h, indices)
+                    if not is_independent(g.adj, image):
                         return f"n={n} h={h} indices={indices}: image not independent"
-                    if to_indices(n, h, image) != indices:
+                    if to_indices(h, image) != indices:
                         return f"n={n} h={h} indices={indices}: inverse mismatch"
     return None
 

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indcubes import counting
-from indcubes.graphs import CapacityError, VertexSubset, enumerate_independent, is_independent, power_path
+from indcubes import counting, graphs
+from indcubes.graphs import (
+    CapacityError,
+    SimpleGraph,
+    VertexSubset,
+    enumerate_independent,
+    is_independent,
+    power_path,
+)
 
 from conftest import brute_cover_count, brute_histogram, brute_independent_sets
 
@@ -183,6 +190,86 @@ class TestIndexBijection:
         image = counting.indices_to_subset(n, h, indices)
         assert is_independent(power_path(n, h), image)
         assert counting.subset_to_indices(n, h, image) == indices
+
+
+def _outcome(route, *args):
+    """route(*args), or the type and text of the ValueError it raises."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def graphs_with_masks(draw):
+    """A SimpleGraph on at most 10 vertices with an arbitrary edge set, and
+    any mask of its width."""
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph.from_edges(n, edges), draw(st.integers(0, (1 << n) - 1))
+
+
+@st.composite
+def index_map_inputs(draw):
+    """(n, h, mask, indices) on the h-power of a path of at most 10 vertices:
+    the mask independent or not, the indices valid or not."""
+    n, h = draw(st.integers(0, 10)), draw(st.integers(0, 4))
+    independent = graphs._independent_masks(power_path(n, h))
+    mask = draw(st.sampled_from(independent) | st.integers(0, (1 << n) - 1))
+    size = st.integers(0, counting._max_size(n, h) + 1)
+    increasing = size.flatmap(
+        lambda k: st.lists(st.integers(1, n + 2), min_size=k, max_size=k, unique=True).map(sorted)
+    )
+    indices = draw(increasing | st.lists(st.integers(-1, n + 2), max_size=n + 1))
+    return n, h, mask, indices
+
+
+class TestMaskCores:
+    """Each public subset route is its private mask core plus its argument
+    checks: the same answers and the same errors."""
+
+    @given(graphs_with_masks())
+    def test_is_independent_wraps_its_core(self, graph_and_mask):
+        g, m = graph_and_mask
+        assert is_independent(g, VertexSubset(m, g.n)) is graphs._is_independent_mask(g.adj, m)
+
+    @given(index_map_inputs())
+    def test_index_maps_wrap_their_cores(self, inputs):
+        n, h, m, indices = inputs
+        wrapped = _outcome(counting.subset_to_indices, n, h, VertexSubset(m, n))
+        assert wrapped == _outcome(counting._mask_to_indices, h, m)
+        core = _outcome(counting._indices_to_mask, n, h, indices)
+        wrapped = _outcome(counting.indices_to_subset, n, h, indices)
+        assert wrapped == (VertexSubset(core, n) if isinstance(core, int) else core)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: counting._indices_to_mask(5, 2, [2, 2]), "indices not strictly increasing at 2"),
+            (lambda: counting.indices_to_subset(5, 2, [2, 2]), "indices not strictly increasing at 2"),
+            (lambda: counting._indices_to_mask(5, 2, [9, 2]), "indices not strictly increasing at 2"),
+            (lambda: counting._indices_to_mask(5, 2, [1, 4]), "indices must lie in 1..3 for k=2"),
+            (lambda: counting.indices_to_subset(5, 2, [1, 4]), "indices must lie in 1..3 for k=2"),
+            (
+                lambda: counting._mask_to_indices(2, 0b00101),
+                "subset is not independent in the path power",
+            ),
+            (
+                lambda: counting.subset_to_indices(5, 2, VertexSubset(0b00101, 5)),
+                "subset is not independent in the path power",
+            ),
+            (lambda: counting.subset_to_indices(5, 1, VertexSubset(0, 4)), "subset width 4 != n=5"),
+            (
+                lambda: is_independent(power_path(5, 1), VertexSubset(0, 4)),
+                "subset width 4 != graph order 5",
+            ),
+        ],
+    )
+    def test_error_messages_are_unchanged(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestContainingVertex:

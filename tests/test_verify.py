@@ -264,28 +264,54 @@ def test_per_size_counterexample_text(monkeypatch, check, total, count_k, at, bo
 
 
 def test_enumeration_order_counterexample_text(monkeypatch):
-    real = graphs.enumerate_independent
+    real = graphs._independent_masks
     cycle = graphs.power_cycle(4, 1)
     monkeypatch.setattr(
-        graphs, "enumerate_independent", lambda g: real(g)[::-1] if g == cycle else real(g)
+        graphs, "_independent_masks", lambda g: real(g)[::-1] if g == cycle else real(g)
     )
     assert verify.check_enumeration_order(1, 5) == "n=4 h=1 cyclic=True: output not strictly sorted"
 
 
 def test_membership_counterexample_text(monkeypatch):
-    real = graphs.is_independent
+    real = graphs._is_independent_mask
     monkeypatch.setattr(
-        graphs, "is_independent", lambda g, s: True if (s.n, s.bits) == (3, 0b101) else real(g, s)
+        graphs,
+        "_is_independent_mask",
+        lambda adj, m: True if (len(adj), m) == (3, 0b101) else real(adj, m),
     )
     assert verify.check_membership_equivalence(1, 4) == "n=3 h=1 cyclic=True mask=101"
 
 
 def test_membership_counterexample_names_b1_first(monkeypatch):
-    real = graphs.is_independent
+    real = graphs._is_independent_mask
     monkeypatch.setattr(
-        graphs, "is_independent", lambda g, s: True if (s.n, s.bits) == (4, 0b0011) else real(g, s)
+        graphs,
+        "_is_independent_mask",
+        lambda adj, m: True if (len(adj), m) == (4, 0b0011) else real(adj, m),
     )
     assert verify.check_membership_equivalence(1, 4) == "n=4 h=1 cyclic=False mask=1100"
+
+
+@pytest.mark.parametrize(
+    "module, route, tamper, counterexample",
+    [
+        (
+            graphs,
+            "_is_independent_mask",
+            lambda real: lambda adj, m: False if (len(adj), m) == (3, 0b101) else real(adj, m),
+            "n=3 h=0 indices=[1, 3]: image not independent",
+        ),
+        (
+            counting,
+            "_indices_to_mask",
+            lambda real: lambda n, h, idx: 0b001 if (n, h, idx) == (3, 1, [1, 2]) else real(n, h, idx),
+            "n=3 h=1 subset=101: roundtrip gave 100",
+        ),
+    ],
+)
+def test_bijection_counterexample_text(monkeypatch, module, route, tamper, counterexample):
+    monkeypatch.setattr(module, route, tamper(getattr(module, route)))
+    assert verify.check_bijection_roundtrip(1, 4) == counterexample
 
 
 def _edited(ups, drop=None, add=None):
@@ -390,7 +416,9 @@ def test_cover_checks_count_from_masks(monkeypatch, check):
     [
         "check_path_oracle",
         "check_cycle_oracle",
+        "check_enumeration_order",
         "check_membership_equivalence",
+        "check_bijection_roundtrip",
         "check_hasse_grading",
         "check_path_cover_counts",
         "check_cycle_cover_counts",
@@ -413,19 +441,27 @@ def test_oracle_checks_read_masks(monkeypatch, check):
         "check_pattern_cubes",
         "check_single_pattern_cubes",
         "check_cube_edges_comparable",
+        "check_enumeration_order",
+        "check_membership_equivalence",
+        "check_bijection_roundtrip",
+        "run_all",
         "fib-cube",
         "lucas-cube",
         "gen-cube",
     ],
 )
 def test_cube_routes_build_no_vertex_subset(monkeypatch, route):
-    """The cube checks and the cube exports work on int masks throughout."""
+    """The cube checks, the oracle checks (which call the mask cores that
+    the public subset routes wrap) and the cube exports work on int masks
+    throughout; run_all would report a refused construction as a failure."""
     def refuse(*args, **kwargs):
-        raise AssertionError("wrapped a cube string only to read its mask")
+        raise AssertionError("wrapped a mask in a VertexSubset only to read it back")
 
-    monkeypatch.setattr(cubes, "VertexSubset", refuse)
-    monkeypatch.setattr(graphs, "VertexSubset", refuse)
-    if route.startswith("check_"):
+    for module in (cubes, graphs, counting):
+        monkeypatch.setattr(module, "VertexSubset", refuse)
+    if route == "run_all":
+        assert [c.name for c in verify.run_all(2, 20, 8).checks if not c.ok] == []
+    elif route.startswith("check_"):
         assert getattr(verify, route)(3, 9) is None
     else:
         argv = ["export", "--family", route, "--n", "9", "--what", "graph", "--format", "dot"]
@@ -576,10 +612,10 @@ def _path_total(n, h):
 def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
     """Speed work may make each call cheaper, but no call may be skipped."""
     targets = [
-        ((graphs,), "is_independent"),
+        ((graphs,), "_is_independent_mask"),
         ((graphs, counting), "VertexSubset"),
-        ((counting,), "subset_to_indices"),
-        ((counting,), "indices_to_subset"),
+        ((counting,), "_mask_to_indices"),
+        ((counting,), "_indices_to_mask"),
         ((counting,), "path_count_k"),
         ((counting,), "cycle_count_k"),
     ]
@@ -588,16 +624,17 @@ def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
     calls = _counted(monkeypatch, targets)
     assert verify.check_membership_equivalence(h_max, n_max) is None
     # every mask of the path power, then of the cycle power
-    assert calls["is_independent"] == calls["VertexSubset"] == sum(2 << n for n, _ in sweep)
+    assert calls["_is_independent_mask"] == sum(2 << n for n, _ in sweep)
+    assert calls["VertexSubset"] == 0
 
     calls = _counted(monkeypatch, targets)
     assert verify.check_bijection_roundtrip(h_max, n_max) is None
     subsets = sum(_path_total(n, h) for n, h in sweep)
     # each independent set once from the enumerator and once as an index
     # list's image; each index list once as an image and once back
-    assert calls["subset_to_indices"] == calls["indices_to_subset"] == 2 * subsets
-    assert calls["is_independent"] == subsets
-    assert calls["VertexSubset"] == 3 * subsets
+    assert calls["_mask_to_indices"] == calls["_indices_to_mask"] == 2 * subsets
+    assert calls["_is_independent_mask"] == subsets
+    assert calls["VertexSubset"] == 0
 
     sizes = sum((n + h) // (h + 1) + 1 for n, h in sweep)  # k = 0..max size
     calls = _counted(monkeypatch, targets)
