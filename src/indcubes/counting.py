@@ -17,13 +17,16 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .graphs import Record, VertexSubset, _set_field
 
 
+_comb = math.comb  # the one binomial primitive: `binom` and the sums read it
+
+
 def binom(m: int, k: int) -> int:
     """Binomial coefficient with zero conventions.
 
     Returns 0 for k < 0, m < 0, or k > m, so every displayed sum over k can
     be evaluated verbatim without guarding its bounds.
     """
-    return math.comb(m, k) if 0 <= k <= m else 0
+    return _comb(m, k) if 0 <= k <= m else 0
 
 
 def path_count_k(n: int, h: int, k: int) -> int:
@@ -44,20 +47,53 @@ def _max_size(n: int, h: int) -> int:
     return (n + h) // (h + 1)
 
 
-def _weighted_sum(count_k: Callable[[int, int, int], int], n: int, h: int, weighted: bool) -> int:
-    """Sum of count_k(n, h, k) over k = 0.._max_size(n, h), one call per k by
-    `map`: the total, or the cover edges if each term is weighted by k, since
-    each k-subset covers exactly k subsets one element smaller."""
+def _path_column(n: int, h: int) -> Iterator[int]:
+    """p_k(n, h) = C(n - hk + h, k) for k = 0.._max_size(n, h), by mapping
+    `_comb` over the two argument ranges; every argument pair is in range."""
+    top = _max_size(n, h)
+    tops = range(n + h, n - h * top, -h) if h else itertools.repeat(n)
+    return map(_comb, tops, range(top + 1))
+
+
+def _indivisible(n: int, h: int, k: int, numerator: int) -> ArithmeticError:
+    """The error for a cycle count c_k(n, h) whose numerator k does not divide."""
+    return ArithmeticError(
+        f"divisibility invariant violated: {k} does not divide {numerator} "
+        f"(n={n}, h={h}, k={k})"
+    )
+
+
+def _cycle_column(n: int, h: int) -> Iterator[int]:
+    """c_k(n, h) for k = 0..n // (h + 1), as `cycle_count_k` gives them: 1,
+    n, then n * C(n - hk - 1, k - 1) / k, divided by `divmod` over the whole
+    column and checked for a remainder at once. Beyond n // (h + 1) every
+    c_k is 0."""
+    top = n // (h + 1)
+    tops = range(n - 2 * h - 1, n - h * top - h - 1, -h) if h else itertools.repeat(n - 1)
+    numerators = map(operator.mul, itertools.repeat(n), map(_comb, tops, range(1, top)))
+    ks = range(2, top + 1)
+    pairs = list(map(divmod, numerators, ks))
+    if any(map(operator.itemgetter(1), pairs)):
+        k, (q, r) = next((k, qr) for k, qr in zip(ks, pairs) if qr[1])
+        raise _indivisible(n, h, k, q * k + r)
+    return itertools.chain((1, n), map(operator.itemgetter(0), pairs))
+
+
+def _weighted_sum(
+    column: Callable[[int, int], Iterator[int]], n: int, h: int, weighted: bool
+) -> int:
+    """Sum of the per-size counts column(n, h), k = 0, 1, ...: the total, or
+    the cover edges if each term is weighted by k, since each k-subset covers
+    exactly k subsets one element smaller. Both sums run in C over `map`."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    ks = range(_max_size(n, h) + 1)
-    counts = map(count_k, itertools.repeat(n), itertools.repeat(h), ks)
-    return sum(map(operator.mul, ks, counts)) if weighted else sum(counts)
+    counts = column(n, h)
+    return sum(map(operator.mul, itertools.count(), counts)) if weighted else sum(counts)
 
 
 def path_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-path."""
-    return _weighted_sum(path_count_k, n, h, False)
+    return _weighted_sum(_path_column, n, h, False)
 
 
 def path_count_clamped(n: int, h: int) -> int:
@@ -77,17 +113,16 @@ def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
     first two coefficients of C_n(x) = C_(n-1)(x) + (1 + x) C_(n-h-1)(x).
 
     Only the last h + 1 rows are kept, in a ring whose slot i holds the
-    oldest one, row(n-h-1), and slot i - 1 the newest, row(n-1). The ring is
-    built after the head, so memory follows the rows asked for, not h.
+    oldest one, row(n-h-1), and slot i - 1 the newest, row(n-1); the slots
+    come round by `itertools.cycle`. The ring is built after the head, so
+    memory follows the rows asked for, not h.
     """
     last = h + 1 if family == "path" else 2 * h + 1
-    yield from ((n + 1, n) for n in range(last + 1))
+    yield from zip(range(1, last + 2), range(last + 1))
     ring = [(n + 1, n) for n in range(last - h, last + 1)]
-    i = 0
-    while True:
+    for i in itertools.cycle(range(h + 1)):
         (total, edges), (t, e) = ring[i - 1], ring[i]
         ring[i] = row = (total + t, edges + e + t)
-        i = i + 1 if i < h else 0
         yield row
 
 
@@ -184,7 +219,7 @@ def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:
 def path_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the path-power independence poset: each k-subset
     covers exactly k subsets one element smaller, so sum k times the counts."""
-    return _weighted_sum(path_count_k, n, h, True)
+    return _weighted_sum(_path_column, n, h, True)
 
 
 class HFibSequence(Record):
@@ -210,24 +245,26 @@ class HFibSequence(Record):
 def _hfib_terms(h: int) -> Iterator[int]:
     """The endless order-h sequence t_1, t_2, ...: h ones, then the path
     totals, t_i = p(i - h - 1)."""
-    return itertools.chain(itertools.repeat(1, h), (total for total, _ in _rows("path", h)))
+    return itertools.chain(itertools.repeat(1, h), map(operator.itemgetter(0), _rows("path", h)))
 
 
 def hfib(h: int, length: int) -> HFibSequence:
-    """First `length` terms of the order-h sequence (1-based)."""
+    """First `length` terms of the order-h sequence (1-based), an `islice`
+    of the endless `_hfib_terms`."""
     if h < 0 or length < 0:
         raise ValueError("h and length must be nonnegative")
-    return HFibSequence(h, (t for _, t in zip(range(length), _hfib_terms(h))))
+    return HFibSequence(h, itertools.islice(_hfib_terms(h), length))
 
 
 def convolve_self(seq: HFibSequence, n: int) -> int:
-    """Self-convolution at n: sum of term(i) * term(n-i+1) for i = 1..n."""
+    """Self-convolution at n: sum of term(i) * term(n-i+1) for i = 1..n,
+    as one `map` of products over the first n terms and their reverse."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if len(seq.terms) < n:
         raise ValueError(f"need {n} terms, have {len(seq.terms)}")
-    t = seq.terms
-    return sum(t[i] * t[n - 1 - i] for i in range(n))
+    t = seq.terms[:n]
+    return sum(map(operator.mul, t, reversed(t)))
 
 
 def path_hasse_edges_conv(n: int, h: int) -> int:
@@ -254,22 +291,19 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
     numerator = n * binom(n - h * k - 1, k - 1)
     quotient, remainder = divmod(numerator, k)
     if remainder:
-        raise ArithmeticError(
-            f"divisibility invariant violated: {k} does not divide {numerator} "
-            f"(n={n}, h={h}, k={k})"
-        )
+        raise _indivisible(n, h, k, numerator)
     return quotient
 
 
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-cycle."""
-    return _weighted_sum(cycle_count_k, n, h, False)
+    return _weighted_sum(_cycle_column, n, h, False)
 
 
 def cycle_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the cycle-power independence poset, as the
     k-weighted sum of the per-size counts."""
-    return _weighted_sum(cycle_count_k, n, h, True)
+    return _weighted_sum(_cycle_column, n, h, True)
 
 
 def cycle_hasse_edges_closed(n: int, h: int) -> int:

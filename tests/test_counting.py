@@ -461,6 +461,35 @@ def test_sums_reject_negative_input(name, n, h):
         getattr(counting, name)(n, h)
 
 
+def _per_k_sums(count_k, n, h):
+    """(total, edges) as the per-size counts give them, one call per k."""
+    counts = [count_k(n, h, k) for k in range(counting._max_size(n, h) + 1)]
+    return sum(counts), sum(k * c for k, c in enumerate(counts))
+
+
+class TestMappedSums:
+    """The sums that map the binomial primitive over a column equal the
+    per-k evaluation, h = 0 and the small-n heads included; TestRecurrenceRows
+    compares the same sums with the rows of `_rows`."""
+
+    @pytest.mark.parametrize("h", range(0, 7))
+    def test_sums_equal_per_k_sums(self, h):
+        for n in range(300):
+            assert (counting.path_count(n, h), counting.path_hasse_edges(n, h)) == _per_k_sums(
+                counting.path_count_k, n, h
+            )
+            assert (counting.cycle_count(n, h), counting.cycle_hasse_edges(n, h)) == _per_k_sums(
+                counting.cycle_count_k, n, h
+            )
+
+    @pytest.mark.parametrize("h", range(0, 7))
+    def test_convolution_equals_pairwise_sum(self, h):
+        seq = counting.hfib(h, 300)
+        t = seq.terms
+        for n in range(301):
+            assert counting.convolve_self(seq, n) == sum(t[i] * t[n - 1 - i] for i in range(n))
+
+
 class TestRecurrenceRows:
     """The one-pass rows that `table` and `seq` print, against the closed sums."""
 

@@ -112,6 +112,46 @@ def test_one_cell_binom_fault_fails_default_verify(monkeypatch, cell):
     assert {c.name for c in report.checks if not c.ok} - {"divisibility"}
 
 
+def _bumped_comb(monkeypatch, cell):
+    """Make the binomial primitive counting._comb one too large at `cell`."""
+    real = counting._comb
+    monkeypatch.setattr(counting, "_comb", lambda m, k: real(m, k) + ((m, k) == cell))
+
+
+@pytest.mark.parametrize(
+    "check, cell, counterexample",
+    [
+        ("check_path_recurrence", (5, 1), "n=5 h=0: 33 != 32"),
+        ("check_cycle_recurrence", (5, 1), "n=6 h=0: 67 != 64"),
+        ("check_path_recurrence", (30, 7), f"n=30 h=0: {2**30 + 1} != {2**30}"),
+    ],
+)
+def test_one_cell_primitive_fault_reaches_the_sums(monkeypatch, check, cell, counterexample):
+    # the sums map counting._comb, so one bad cell shows in their totals
+    _bumped_comb(monkeypatch, cell)
+    assert getattr(verify, check)(4, 200) == counterexample
+
+
+def test_indivisible_primitive_names_the_cycle_cell(monkeypatch, capsys):
+    # 5 * (C(4, 2) + 1) = 35 is not divisible by k = 3
+    _bumped_comb(monkeypatch, (4, 2))
+    message = "divisibility invariant violated: 3 does not divide 35 (n=5, h=0, k=3)"
+    routes = (
+        lambda: counting.cycle_count(5, 0),
+        lambda: counting.cycle_count_k(5, 0, 3),
+        lambda: verify.check_cycle_recurrence(4, 200),
+    )
+    for route in routes:
+        with pytest.raises(ArithmeticError) as exc:
+            route()
+        assert str(exc.value) == message
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  cycle-recurrence-agreement  [h<=4, n<=200]" in out
+    assert f"exception: {message}" in out
+    assert out.splitlines()[-1] == "overall: FAIL"
+
+
 def test_default_ranges_pass():
     # the documented default sweep: h<=4, formulas to 200, enumeration to 14
     report = verify.run_all()
@@ -618,6 +658,7 @@ def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
         ((counting,), "_indices_to_mask"),
         ((counting,), "path_count_k"),
         ((counting,), "cycle_count_k"),
+        ((counting,), "_comb"),
     ]
     sweep = [(n, h) for h in range(h_max + 1) for n in range(n_max + 1)]
 
@@ -636,10 +677,16 @@ def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
     assert calls["_is_independent_mask"] == subsets
     assert calls["VertexSubset"] == 0
 
+    # the sums map the binomial primitive over each column, so count it, and
+    # no per-k function call at all
     sizes = sum((n + h) // (h + 1) + 1 for n, h in sweep)  # k = 0..max size
     calls = _counted(monkeypatch, targets)
     assert verify.check_path_recurrence(h_max, n_max) is None
-    assert calls["path_count_k"] == sizes and calls["cycle_count_k"] == 0
+    assert calls["_comb"] == sizes
+    assert calls["path_count_k"] == calls["cycle_count_k"] == 0
+    # c_0 = 1 and c_1 = n need no binomial; k = 2..n // (h + 1) one each
+    binomials = sum(max(n // (h + 1) - 1, 0) for n, h in sweep)
     calls = _counted(monkeypatch, targets)
     assert verify.check_cycle_recurrence(h_max, n_max) is None
-    assert calls["cycle_count_k"] == sizes and calls["path_count_k"] == 0
+    assert calls["_comb"] == binomials
+    assert calls["path_count_k"] == calls["cycle_count_k"] == 0
