@@ -35,7 +35,7 @@ def _nonneg(text: str) -> int:
 
 def _parse_patterns(csv: str) -> list[str]:
     patterns = [p.strip() for p in csv.split(",")]
-    if not patterns or any(not p or set(p) - {"0", "1"} for p in patterns):
+    if any(not p or set(p) - {"0", "1"} for p in patterns):
         raise argparse.ArgumentTypeError(f"bad pattern list: {csv!r}")
     return patterns
 

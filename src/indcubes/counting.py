@@ -319,21 +319,22 @@ def cycle_hasse_edges_closed(n: int, h: int) -> int:
     return n if n <= h else n * _nth(_hfib_terms(h), n - h - 1)
 
 
+def _two_term(a: int, b: int, n: int) -> int:
+    """Term n (1-based) of the sequence t_1 = a, t_2 = b, t_i = t_(i-1) + t_(i-2)."""
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
+
+
 def fibonacci(n: int) -> int:
     """Classic Fibonacci number, 1-based with F_1 = F_2 = 1."""
     if n < 1:
         raise ValueError("Fibonacci index starts at 1")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _two_term(1, 1, n)
 
 
 def lucas(n: int) -> int:
     """Lucas number, 1-based with L_1 = 1, L_2 = 3."""
     if n < 1:
         raise ValueError("Lucas index starts at 1")
-    a, b = 1, 3
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _two_term(1, 3, n)

@@ -101,13 +101,9 @@ def diagram_as_graph(d: PosetDiagram) -> SimpleGraph:
     """Undirected view of the diagram: one vertex per node (in canonical
     order), one edge per cover pair."""
     nodes = d.nodes()
-    index = {s.bits: i for i, s in enumerate(nodes)}
-    rows = [0] * len(nodes)
-    for low, high in d.covers:
-        i, j = index[low.bits], index[high.bits]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return SimpleGraph(len(nodes), rows)
+    index = {s.bits: i for i, s in enumerate(nodes, 1)}
+    edges = ((index[low.bits], index[high.bits]) for low, high in d.covers)
+    return SimpleGraph.from_edges(len(nodes), edges)
 
 
 def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
@@ -133,12 +129,8 @@ def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
 
 def _hamming_cube(masks: Sequence[int]) -> SimpleGraph:
     """Graph on the given masks with edges at Hamming distance one."""
-    rows = [0] * len(masks)
-    for i, js in enumerate(_hamming_pairs(masks)):
-        for j in js:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return SimpleGraph(len(masks), rows)
+    edges = ((i, j + 1) for i, js in enumerate(_hamming_pairs(masks), 1) for j in js)
+    return SimpleGraph.from_edges(len(masks), edges)
 
 
 def _fibonacci_masks(n: int) -> list[int]:
@@ -263,15 +255,7 @@ def same_labeled_graph(
             raise ValueError(f"label map undefined for {exc.args[0]!r}") from None
         if len(set(mapped)) != len(mapped):
             raise ValueError("label map is not injective")
-    if a.n != b.n:
+    if a.n != b.n or set(mapped) != set(b_labels):
         return False
-    b_index = {lab: i for i, lab in enumerate(b_labels)}
-    perm = []
-    for lab in mapped:
-        i = b_index.get(lab)
-        if i is None:
-            return False
-        perm.append(i)
-    a_edges = {(min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in a.edges()}
-    b_edges = {(i - 1, j - 1) for i, j in b.edges()}
-    return a_edges == b_edges
+    a_edges = {frozenset((mapped[i - 1], mapped[j - 1])) for i, j in a.edges()}
+    return a_edges == {frozenset((b_labels[i - 1], b_labels[j - 1])) for i, j in b.edges()}

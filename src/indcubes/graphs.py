@@ -59,9 +59,7 @@ class VertexSubset(Record):
 
     Bit i-1 is set iff v_i belongs to the subset, so the mask read from bit 0
     upward is the binary string b_1 b_2 ... b_n of the subset. Equal only to
-    a VertexSubset with the same (bits, n). The oracle builds hundreds of
-    thousands, so __init__ sets the slots by their descriptors and __eq__ and
-    __hash__ read the two fields directly.
+    a VertexSubset with the same (bits, n).
     """
 
     __slots__ = ("bits", "n")
@@ -71,16 +69,8 @@ class VertexSubset(Record):
             raise CapacityError(f"subset width {n} outside 0..{MAX_VERTICES}")
         if bits < 0 or bits >> n:
             raise ValueError(f"mask {bits:#x} has bits beyond position {n}")
-        _set_bits(self, bits)
-        _set_n(self, n)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.n))
+        _set_field(self, "bits", bits)
+        _set_field(self, "n", n)
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
@@ -97,11 +87,7 @@ class VertexSubset(Record):
         """Build from a binary string b_1...b_n."""
         if set(s) - {"0", "1"}:
             raise ValueError(f"not a binary string: {s!r}")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(bits, len(s))
+        return cls(int(s[::-1] or "0", 2), len(s))
 
     def vertices(self) -> tuple[int, ...]:
         """Members as 1-based vertex numbers, ascending."""
@@ -127,10 +113,6 @@ class VertexSubset(Record):
     def sort_key(self) -> tuple[int, int]:
         """Canonical order used everywhere: (cardinality, mask value)."""
         return (self.cardinality, self.bits)
-
-
-_set_bits = VertexSubset.bits.__set__
-_set_n = VertexSubset.n.__set__
 
 
 class SimpleGraph(Record):

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import json
 import os
 import subprocess
@@ -673,3 +674,77 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+#: (argv, SHA-256 of stdout, stdout length in bytes) for a fixed list of
+#: commands: default `verify` and two smaller sweeps, `table` for both
+#: families with and without per-size columns, `seq` for every kind, and
+#: `export` for every family in both formats at n = 7. A refactor must leave
+#: every byte of them as it is.
+GOLDEN_STDOUT = (
+    (("verify",),
+     "77401eeb99f86e944d54b089e737d333e753b905d013dd7b2d7f96e70952d22f", 1235),
+    (("verify", "--h-max", "2", "--n-max-formula", "60", "--n-max-oracle", "8", "--json"),
+     "26de987758822e26a9429e7feaf6b54f729685c3a6a979c1a3c99e5c6133979e", 3585),
+    (("verify", "--h-max", "0", "--n-max-oracle", "4"),
+     "7e21a55f1f63356066320114813457285ad313052bf074c7f71050b41d6d4f8e", 1218),
+    (("table", "--family", "path", "--h", "2", "--n-max", "30"),
+     "c9a6395dda519d09b44c6bacc0ac2a730173ff73ec9084e0f02850b727b775f7", 365),
+    (("table", "--family", "path", "--h", "2", "--n-max", "30", "--per-k"),
+     "2c52ced8eb5d48ee9477f887ad169b1e8d12e2c409550525799fd4fbba1927df", 1370),
+    (("table", "--family", "cycle", "--h", "2", "--n-max", "30"),
+     "2add17a8b16349b421a200c004b4d31fef43751819a6bd65b126b63d0994696b", 357),
+    (("table", "--family", "cycle", "--h", "2", "--n-max", "30", "--per-k"),
+     "257869e206913caff0d5f06f0713bdd904a339b4ca664cb35df84fa234285ad9", 1332),
+    (("seq", "--kind", "hfib", "--h", "2", "--count", "40"),
+     "9b94eae3739dd70976038c518eb6fb45cd82731106f40043b35374bd7cf0f4ed", 182),
+    (("seq", "--kind", "p", "--h", "2", "--count", "40"),
+     "947ff3a2586910130f71414d3072000d2e2f412edb52b8d4f5861f538b1e104d", 200),
+    (("seq", "--kind", "q", "--h", "2", "--count", "40"),
+     "38f4149517e4b1c27f0da0d493866db61d6d8526492e141134930ac2c4254480", 195),
+    (("seq", "--kind", "hedges", "--h", "2", "--count", "40"),
+     "3b4fabfc062bb65659e6e613ab5887da71c14840fd6771f6aa02de02621614a2", 223),
+    (("seq", "--kind", "medges", "--h", "2", "--count", "40"),
+     "07c58c5026a6ff756eb6f2b5ed73040ebad38793fb077d5fffb7b0731999d436", 217),
+    (("export", "--family", "path", "--n", "7", "--h", "2", "--what", "graph", "--format", "dot"),
+     "ba462b79e142866b580c3679b4fa7cdb5a462d271dea12d409e0c5b659a5b1cf", 215),
+    (("export", "--family", "path", "--n", "7", "--h", "2", "--what", "hasse", "--format", "dot"),
+     "c716a6a6961c363abb9c1c3bdf39b9210760a538ecfe6bcfa40fdeaf1c832895", 1039),
+    (("export", "--family", "cycle", "--n", "7", "--h", "2", "--what", "graph", "--format", "dot"),
+     "49bf8e4458875dd1d9968e71560d8a9c7b726bdec941dc3f4170604df864b09a", 257),
+    (("export", "--family", "cycle", "--n", "7", "--h", "2", "--what", "hasse", "--format", "dot"),
+     "bdb7bd4f8c014bef3d554407d8cd101e78994d290dd65d8987d68a4b32c23196", 753),
+    (("export", "--family", "fib-cube", "--n", "7", "--what", "graph", "--format", "dot"),
+     "a0c92c6957f7c8f4a5fe1ed5a209a93ddcbd35ecfcadc026b559c29c8a32f089", 2300),
+    (("export", "--family", "lucas-cube", "--n", "7", "--what", "graph", "--format", "dot"),
+     "63df4b0534590d58a17684b97f95dc02750fae40d02967ab17920621e44f93eb", 1845),
+    (("export", "--family", "gen-cube", "--n", "7", "--patterns", "11,101", "--circular",
+      "--what", "graph", "--format", "dot"),
+     "bdb7bd4f8c014bef3d554407d8cd101e78994d290dd65d8987d68a4b32c23196", 753),
+    (("export", "--family", "path", "--n", "7", "--h", "2", "--what", "graph", "--format", "json"),
+     "78822ac49ed18ff590124ed2af3482b34b1b143f1c2b5ae559f2c2082e5d1f26", 155),
+    (("export", "--family", "path", "--n", "7", "--h", "2", "--what", "hasse", "--format", "json"),
+     "e3974db2878d5fe6e93c7269696eeb4f9c9d5a430f6f171d83d0ca3e426da57f", 505),
+    (("export", "--family", "cycle", "--n", "7", "--h", "2", "--what", "graph", "--format", "json"),
+     "80fecec33a4d9e000deaa469317997551cdf784b7668f060940b049217b5d8cd", 179),
+    (("export", "--family", "cycle", "--n", "7", "--h", "2", "--what", "hasse", "--format", "json"),
+     "3a9a5ab32b60a55a871db9eabc3be3e795fc8747b4ee1209c8b9b4ff8accd2f7", 378),
+    (("export", "--family", "fib-cube", "--n", "7", "--what", "graph", "--format", "json"),
+     "b3214f6c4287deda36ff1e2aad632f4bbcfe9eddb2f435d4781597464917553c", 1068),
+    (("export", "--family", "lucas-cube", "--n", "7", "--what", "graph", "--format", "json"),
+     "66f34005f72c52f866411f79f1507453b760e3938a973a5bb3f7c2c79fb8ce5f", 866),
+    (("export", "--family", "gen-cube", "--n", "7", "--patterns", "11,101", "--circular",
+      "--what", "graph", "--format", "json"),
+     "3a9a5ab32b60a55a871db9eabc3be3e795fc8747b4ee1209c8b9b4ff8accd2f7", 378),
+)
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize(
+        "argv, digest, size", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _, _ in GOLDEN_STDOUT]
+    )
+    def test_stdout_matches_its_pinned_digest(self, capsys, argv, digest, size):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)

@@ -57,6 +57,20 @@ class TestVertexSubset:
         assert s.cardinality == 3
         assert 3 in s and 2 not in s and 6 not in s
 
+    def test_from_string_matches_the_bitwise_parse(self):
+        for width in range(11):
+            for bits in range(1 << width):
+                text = "".join("1" if bits >> i & 1 else "0" for i in range(width))
+                s = VertexSubset.from_string(text)
+                assert (s.bits, s.n) == (bits, width), text
+                assert s.to_string() == text
+        assert VertexSubset.from_string("") == VertexSubset(0, 0)
+
+    @pytest.mark.parametrize("text", ["1_0", "012", "1 0", " 1", "+1", "0b1", "x"])
+    def test_from_string_rejects_non_binary_text(self, text):
+        with pytest.raises(ValueError, match="not a binary string"):
+            VertexSubset.from_string(text)
+
     def test_from_vertices(self):
         assert VertexSubset.from_vertices([2, 4], 5).to_string() == "01010"
         assert VertexSubset.from_vertices([], 0).to_string() == ""

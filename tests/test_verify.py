@@ -1,3 +1,4 @@
+import itertools
 import math
 import types
 
@@ -618,6 +619,22 @@ def test_every_printed_column_is_verified(monkeypatch, family, column, n, h):
 def test_closed_form_check_names_the_rows_value(monkeypatch):
     _bumped_rows(monkeypatch, "cycle", 1, 7, 2)
     assert verify.check_closed_form_agreement(2, 8) == "n=7 h=2: sum 21 != rows 22"
+
+
+def test_hfib_prefix_names_the_tampered_term(monkeypatch):
+    # Term 7 of the order-2 sequence is the path total at n = 4, which is 6;
+    # one too many there must be named by h, i and the value the sequence gave.
+    terms = counting._hfib_terms
+
+    def tampered(h):
+        rest = terms(h)
+        head = list(itertools.islice(rest, 7))
+        if h == 2:
+            head[6] += 1
+        return itertools.chain(head, rest)
+
+    monkeypatch.setattr(counting, "_hfib_terms", tampered)
+    assert verify.check_hfib_prefix(4, 30) == "h=2 i=7: 7 != clamped total"
 
 
 @pytest.mark.parametrize("h", range(1, 6))
