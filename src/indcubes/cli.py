@@ -235,9 +235,6 @@ def _run(argv: Sequence[str] | None) -> int:
             if text:
                 print(text)
         elif args.command == "verify":
-            cap = cubes.MAX_CUBE_ORDER
-            if args.n_max_oracle > cap:
-                parser.error(f"--n-max-oracle {args.n_max_oracle} exceeds the cube cap of {cap}")
             # Every call is a fresh process: only the commands that use them import verify and json.
             from . import verify
             report = verify.run_all(args.h_max, args.n_max_formula, args.n_max_oracle)

@@ -9,6 +9,7 @@ can be checked vertex for vertex and edge for edge.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Mapping, Sequence
 
 from .graphs import (
@@ -87,12 +88,11 @@ def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
     """Diagram of the independent subsets of g ordered by inclusion."""
     masks, ups = _hasse_masks(g)
     nodes = [VertexSubset(m, g.n) for m in masks]
-    levels: list[list[VertexSubset]] = [[] for _ in range(masks[-1].bit_count() + 1)]
-    for s in nodes:
-        levels[s.cardinality].append(s)
+    # Independent sets are closed under taking subsets, so no level is empty.
+    levels = groupby(nodes, key=lambda s: s.cardinality)
     return PosetDiagram(
         g.n,
-        tuple(tuple(level) for level in levels),
+        tuple(tuple(level) for _, level in levels),
         tuple((low, nodes[j]) for low, js in zip(nodes, ups) for j in js),
     )
 
@@ -158,9 +158,10 @@ def _avoiding_masks(n: int, patterns: Sequence[str], circular: bool = False) -> 
 
     Strings grow one bit at a time, and a prefix is dropped as soon as it ends
     with a pattern, so the cost follows the number of avoiders, not 2^n.
-    Patterns longer than n cannot occur and are ignored. In circular mode each
-    finished string is also tested across the wrap, on the string followed by
-    its first L - 1 bits (L the longest pattern kept).
+    Patterns longer than n cannot occur and are ignored. In circular mode the
+    string grows L - 1 more bits copied from its start (L the longest pattern
+    kept), so the same test catches occurrences across the wrap; the copies
+    are trimmed at the end.
     """
     _check_cube_order(n)
     if not patterns:
@@ -169,24 +170,17 @@ def _avoiding_masks(n: int, patterns: Sequence[str], circular: bool = False) -> 
         _check_pattern(p)
     # (length, window mask, pattern as a mask with b_1 at bit 0)
     kept = [(len(p), (1 << len(p)) - 1, int(p[::-1], 2)) for p in patterns if len(p) <= n]
+    wrap = max((size - 1 for size, _, _ in kept), default=0) if circular else 0
     masks = [0]
-    for k in range(1, n + 1):  # grow every surviving prefix to length k
-        masks = [
-            m
-            for base in masks
-            for m in (base, base | 1 << (k - 1))
-            if not any(size <= k and (m >> (k - size)) & window == p for size, window, p in kept)
-        ]
-    if circular and kept:
-        head = (1 << (max(size for size, _, _ in kept) - 1)) - 1
-        wraps = [(window, p, range(n - size + 1, n)) for size, window, p in kept]
-        survivors = []
-        for m in masks:
-            wide = m | ((m & head) << n)  # the string, then its first L - 1 bits
-            if not any((wide >> start) & window == p for window, p, starts in wraps for start in starts):
-                survivors.append(m)
-        masks = survivors
-    return sorted(sorted(masks), key=int.bit_count)
+    for k in range(1, n + wrap + 1):  # grow every surviving prefix to length k
+        if k <= n:  # the 1-extended half last, so each length stays ascending
+            masks += [m | 1 << (k - 1) for m in masks]
+        else:  # a wrap step: bit k - 1 copies bit k - 1 - n from the start
+            masks = [m | (m >> (k - 1 - n) & 1) << (k - 1) for m in masks]
+        for size, window, p in kept:
+            if size <= k:  # drop every prefix that now ends with the pattern
+                masks = [m for m in masks if (m >> (k - size)) & window != p]
+    return sorted([m & ((1 << n) - 1) for m in masks], key=int.bit_count)
 
 
 def fibonacci_strings(n: int) -> list[VertexSubset]:

@@ -279,17 +279,15 @@ def hamming(a: VertexSubset, b: VertexSubset) -> int:
 def contains_pattern(s: VertexSubset, pattern: str, circular: bool = False) -> bool:
     """Whether the binary string of s contains the pattern as a substring.
 
-    Linear mode scans b_1..b_n as-is. Circular mode joins the last bit back
-    to the first, so an occurrence may wrap around the end once; patterns
-    longer than the string cannot occur.
+    Linear mode scans b_1..b_n as-is. Circular mode scans the string followed
+    by its first len(pattern) - 1 bits, so an occurrence may wrap around the
+    end once; patterns longer than the string cannot occur.
     """
     _check_pattern(pattern)
     text = s.to_string()
-    if not circular:
-        return pattern in text
-    if len(pattern) > s.n:
-        return False
-    return pattern in (text + text)[: s.n + len(pattern) - 1]
+    if circular and len(pattern) <= s.n:
+        text += text[: len(pattern) - 1]
+    return pattern in text
 
 
 def _check_pattern(pattern: str) -> None:

@@ -398,13 +398,13 @@ def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
     """The order-h sequence is h ones followed by the path totals, i.e. its
     i-th term is the clamped total at n = i - h - 1."""
     for h in range(h_max + 1):
-        seq = counting.hfib(h, n_max)
-        for i in range(1, len(seq) + 1):
-            if seq.term(i) != counting.path_count_clamped(i - h - 1, h):
-                return f"h={h} i={i}: {seq.term(i)} != clamped total"
-        for i in range(1, min(h, n_max) + 1):
-            if seq.term(i) != 1:
-                return f"h={h} i={i}: leading term is {seq.term(i)}, not 1"
+        terms = counting.hfib(h, n_max).terms
+        for i, term in enumerate(terms, 1):
+            if term != counting.path_count_clamped(i - h - 1, h):
+                return f"h={h} i={i}: {term} != clamped total"
+        for i, term in enumerate(terms[:h], 1):
+            if term != 1:
+                return f"h={h} i={i}: leading term is {term}, not 1"
     return None
 
 
