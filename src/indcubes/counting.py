@@ -127,14 +127,16 @@ def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
 
 
 def path_count_rec(n: int, h: int) -> int:
-    """Total path-power count by recurrence only: the totals of `_rows`."""
+    """Total path-power count by recurrence only: the total of `_rows` at n,
+    a single-term view that walks the rows from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
     return _nth(_rows("path", h), n)[0]
 
 
 def cycle_count_rec(n: int, h: int) -> int:
-    """Total cycle-power count by recurrence only: the totals of `_rows`."""
+    """Total cycle-power count by recurrence only: the total of `_rows` at n,
+    a single-term view that walks the rows from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
     return _nth(_rows("cycle", h), n)[0]
@@ -269,7 +271,8 @@ def convolve_self(seq: HFibSequence, n: int) -> int:
 
 def path_hasse_edges_conv(n: int, h: int) -> int:
     """Cover-edge count again, this time as the self-convolution of the
-    order-h sequence; agrees with path_hasse_edges everywhere."""
+    order-h sequence; agrees with path_hasse_edges everywhere. A single-term
+    view: it builds the first n terms afresh, O(n) per call."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
     return convolve_self(hfib(h, n), n)
@@ -306,17 +309,25 @@ def cycle_hasse_edges(n: int, h: int) -> int:
     return _weighted_sum(_cycle_column, n, h, True)
 
 
-def cycle_hasse_edges_closed(n: int, h: int) -> int:
-    """Closed form for the cycle cover-edge count: n times the order-h
-    sequence term at n - h.
+def _cycle_edges_closed(h: int) -> Iterator[int]:
+    """The closed form n * t(n - h) for n = 0, 1, 2, ...: n times the
+    order-h sequence read with h + 1 ones in front of it.
 
     The closed form needs n > h; for 1 <= n <= h the cycle power is complete,
-    its poset has exactly n cover edges, and we return n so the function
-    stays total and equal to cycle_hasse_edges everywhere. n = 0 gives 0.
+    its poset has exactly n cover edges, and the leading ones give n there,
+    so the stream equals the cycle edge counts everywhere. n = 0 gives 0.
     """
+    terms = itertools.chain(itertools.repeat(1, h + 1), _hfib_terms(h))
+    return map(operator.mul, itertools.count(), terms)
+
+
+def cycle_hasse_edges_closed(n: int, h: int) -> int:
+    """Closed form for the cycle cover-edge count: n times the order-h
+    sequence term at n - h, term n of `_cycle_edges_closed`. A single-term
+    view that walks the stream from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
         raise ValueError("n, h must be nonnegative")
-    return n if n <= h else n * _nth(_hfib_terms(h), n - h - 1)
+    return _nth(_cycle_edges_closed(h), n)
 
 
 def _two_term(a: int, b: int, n: int) -> int:

@@ -73,7 +73,7 @@ def _oracle_sweep(h_max: int, n_max: int, build, total, count_k) -> str | None:
             masks = graphs._independent_masks(build(n, h))
             if len(masks) != total(n, h):
                 return f"n={n} h={h}: total {len(masks)} != {total(n, h)}"
-            hist = Counter(m.bit_count() for m in masks)
+            hist = Counter(map(int.bit_count, masks))
             for k in range(counting._max_size(n, h) + 2):
                 if hist[k] != count_k(n, h, k):
                     return f"n={n} h={h} k={k}: enumerated {hist[k]} != {count_k(n, h, k)}"
@@ -88,6 +88,18 @@ def _routes_agree(h_max: int, n_max: int, routes, template: str) -> str | None:
             values = [route(n, h) for route in routes]
             if len(set(values)) > 1:
                 return f"n={n} h={h}: " + template.format(*values)
+    return None
+
+
+def _totals_agree(h_max: int, n_max: int, family: str, total) -> str | None:
+    """Compare total(n, h) with the totals of counting._rows(family, h), one
+    walk of the rows per h; at the first disagreement return
+    `n=.. h=..: total != rows total`."""
+    for h in range(h_max + 1):
+        for n, (rec, _) in zip(range(n_max + 1), counting._rows(family, h)):
+            value = total(n, h)
+            if value != rec:
+                return f"n={n} h={h}: {value} != {rec}"
     return None
 
 
@@ -147,9 +159,11 @@ def check_cycle_regularity(h_max: int, n_max: int) -> str | None:
 
 def check_enumeration_order(h_max: int, n_max: int) -> str | None:
     """Enumerated masks are strictly sorted by (cardinality, mask value), the
-    sort_key of the subsets that enumerate_independent wraps them in."""
+    sort_key of the subsets that enumerate_independent wraps them in. Every
+    mask is below 2^n, so the integer (cardinality << n) | mask orders the
+    masks exactly as that pair does."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
-        keys = [(m.bit_count(), m) for m in graphs._independent_masks(g)]
+        keys = [(m.bit_count() << n) | m for m in graphs._independent_masks(g)]
         if any(map(operator.ge, keys, keys[1:])):
             return f"n={n} h={h} cyclic={cyclic}: output not strictly sorted"
     return None
@@ -358,23 +372,23 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
 
 def check_path_recurrence(h_max: int, n_max: int) -> str | None:
     """Closed-sum path totals equal the recurrence-only evaluation."""
-    routes = (counting.path_count, counting.path_count_rec)
-    return _routes_agree(h_max, n_max, routes, "{} != {}")
+    return _totals_agree(h_max, n_max, "path", counting.path_count)
 
 
 def check_cycle_recurrence(h_max: int, n_max: int) -> str | None:
     """Closed-sum cycle totals equal the recurrence-only evaluation."""
-    routes = (counting.cycle_count, counting.cycle_count_rec)
-    return _routes_agree(h_max, n_max, routes, "{} != {}")
+    return _totals_agree(h_max, n_max, "cycle", counting.cycle_count)
 
 
 def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
     """Weighted-sum, self-convolution and linear-recurrence (the column that
-    `table` and `seq` print) path edge counts agree."""
+    `table` and `seq` print) path edge counts agree. Each h builds the
+    sequence once and convolves its prefixes."""
     for h in range(h_max + 1):
+        seq = counting.hfib(h, n_max)
         for n, (_, linear) in zip(range(n_max + 1), counting._rows("path", h)):
             by_sum = counting.path_hasse_edges(n, h)
-            by_conv = counting.path_hasse_edges_conv(n, h)
+            by_conv = counting.convolve_self(seq, n)
             if not by_sum == by_conv == linear:
                 return f"n={n} h={h}: sum {by_sum}, conv {by_conv}, linear {linear}"
     return None
@@ -382,11 +396,11 @@ def check_convolution_agreement(h_max: int, n_max: int) -> str | None:
 
 def check_closed_form_agreement(h_max: int, n_max: int) -> str | None:
     """Weighted-sum, closed-form and recurrence (the column that `table` and
-    `seq` print) cycle edge counts agree."""
+    `seq` print) cycle edge counts agree, each stream walked once per h."""
     for h in range(h_max + 1):
-        for n, (_, rows) in zip(range(n_max + 1), counting._rows("cycle", h)):
+        streams = counting._rows("cycle", h), counting._cycle_edges_closed(h)
+        for n, (_, rows), closed in zip(range(n_max + 1), *streams):
             by_sum = counting.cycle_hasse_edges(n, h)
-            closed = counting.cycle_hasse_edges_closed(n, h)
             if by_sum != closed:
                 return f"n={n} h={h}: sum {by_sum} != closed {closed}"
             if by_sum != rows:
@@ -425,6 +439,7 @@ def check_cycle_decomposition(h_max: int, n_max: int) -> str | None:
     """Cycle per-size counts split into the subsets through a fixed vertex
     and those through a wrap pair."""
     path_count_k, cycle_count_k = counting.path_count_k, counting.cycle_count_k
+    # per cell, not over the columns: no other check reads binom at cells such as (30, 7)
     for h in range(h_max + 1):
         for n in range(3 * h + 3, n_max + 1):
             for k in range(2, counting._max_size(n, h) + 2):

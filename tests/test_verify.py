@@ -261,11 +261,13 @@ def _frozen(monkeypatch, module, name, h_max, n_max):
             (2, 8),
             "n=7 h=2: covers=21 sum=21 closed=22",
         ),
-        ("check_path_recurrence", "path_count_rec", (9, 3), (3, 12), "n=9 h=3: 26 != 27"),
-        ("check_cycle_recurrence", "cycle_count_rec", (9, 3), (3, 12), "n=9 h=3: 19 != 20"),
+        # the formula checks read streams: (family, column, n, h) of _rows,
+        # and (n, h) of the closed form
+        ("check_path_recurrence", "_rows", ("path", 0, 9, 3), (3, 12), "n=9 h=3: 26 != 27"),
+        ("check_cycle_recurrence", "_rows", ("cycle", 0, 9, 3), (3, 12), "n=9 h=3: 19 != 20"),
         (
             "check_closed_form_agreement",
-            "cycle_hasse_edges_closed",
+            "_cycle_edges_closed",
             (7, 2),
             (2, 8),
             "n=7 h=2: sum 21 != closed 22",
@@ -273,7 +275,11 @@ def _frozen(monkeypatch, module, name, h_max, n_max):
     ],
 )
 def test_counterexample_text(monkeypatch, check, route, at, bounds, counterexample):
-    _off_by_one(monkeypatch, counting, route, at)
+    streams = {"_rows": _bumped_rows, "_cycle_edges_closed": _bumped_closed}
+    if route in streams:
+        streams[route](monkeypatch, *at)
+    else:
+        _off_by_one(monkeypatch, counting, route, at)
     assert getattr(verify, check)(*bounds) == counterexample
 
 
@@ -603,6 +609,17 @@ def _bumped_rows(monkeypatch, family, column, n_at, h_at):
     monkeypatch.setattr(counting, "_rows", bumped)
 
 
+def _bumped_closed(monkeypatch, n_at, h_at):
+    """Make counting._cycle_edges_closed(h_at) yield one more at n_at."""
+    real = counting._cycle_edges_closed
+
+    def bumped(h):
+        for n, value in enumerate(real(h)):
+            yield value + ((n, h) == (n_at, h_at))
+
+    monkeypatch.setattr(counting, "_cycle_edges_closed", bumped)
+
+
 @pytest.mark.parametrize(
     "family, column, n, h",
     [("path", 0, 9, 3), ("cycle", 0, 9, 3), ("path", 1, 6, 2), ("cycle", 1, 7, 2)],
@@ -707,3 +724,22 @@ def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
     assert verify.check_cycle_recurrence(h_max, n_max) is None
     assert calls["_comb"] == binomials
     assert calls["path_count_k"] == calls["cycle_count_k"] == 0
+
+
+@pytest.mark.parametrize("h_max", [0, 2, 4])
+@pytest.mark.parametrize("n_max", [0, 1, 9, 60])
+def test_formula_checks_walk_each_stream_once_per_order(monkeypatch, h_max, n_max):
+    """Whatever n_max, each formula check starts each stream it reads once
+    per h: its own _rows column, the closed-form stream, and one hfib
+    sequence, each of which walks the path rows once more."""
+    targets = [((counting,), "_rows"), ((counting,), "_cycle_edges_closed"), ((counting,), "hfib")]
+    passes = {
+        "check_path_recurrence": {"_rows": 1, "_cycle_edges_closed": 0, "hfib": 0},
+        "check_cycle_recurrence": {"_rows": 1, "_cycle_edges_closed": 0, "hfib": 0},
+        "check_convolution_agreement": {"_rows": 2, "_cycle_edges_closed": 0, "hfib": 1},
+        "check_closed_form_agreement": {"_rows": 2, "_cycle_edges_closed": 1, "hfib": 0},
+    }
+    for check, per_order in passes.items():
+        calls = _counted(monkeypatch, targets)
+        assert getattr(verify, check)(h_max, n_max) is None
+        assert calls == {name: k * (h_max + 1) for name, k in per_order.items()}, check
