@@ -80,7 +80,15 @@ def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     masks = _independent_masks(g)
     index = {m: i for i, m in enumerate(masks)}
     closed = [(row | (1 << v), 1 << v) for v, row in enumerate(g.adj)]
-    ups = [[index[m | bit] for row, bit in closed if not (row & m)] for m in masks]
+    # An explicit loop: on Python 3.11 a nested comprehension makes a function
+    # object and a frame per mask (3.12+ inlines comprehensions).
+    ups = []
+    for m in masks:
+        up = []
+        for row, bit in closed:
+            if not row & m:
+                up.append(index[m | bit])
+        ups.append(up)
     return masks, ups
 
 

@@ -169,14 +169,25 @@ class SimpleGraph(Record):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        """Build from 1-based endpoint pairs; duplicates collapse."""
+        """Build from 1-based endpoint pairs; duplicates collapse.
+
+        Each edge is range- and loop-checked here and sets both of its bits,
+        so the rows are in range, loop-free and symmetric by construction;
+        the fields are set directly rather than walking every edge again in
+        the validating __init__.
+        """
         rows = [0] * n
         for i, j in edges:
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
             rows[i - 1] |= 1 << (j - 1)
             rows[j - 1] |= 1 << (i - 1)
-        return cls(n, tuple(rows))
+        if n < 0:
+            raise ValueError("adjacency length does not match vertex count")
+        g = object.__new__(cls)
+        _set_field(g, "n", n)
+        _set_field(g, "adj", tuple(rows))
+        return g
 
 
 def _check_power_args(n: int, h: int) -> None:

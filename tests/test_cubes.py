@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcubes import counting
+from indcubes import counting, verify
 from indcubes.cubes import (
     _avoiding_masks,
     _fibonacci_masks,
@@ -369,6 +369,20 @@ class TestUpLists:
         ]
         assert ups == covers
         assert _ascending(ups)
+
+    @given(random_graphs())
+    def test_cover_pairs_count_the_diagram_covers(self, g):
+        # verify's per-vertex cover-pair count, the diagram's up-lists and a
+        # count over all subsets of the edge list are three routes to one number
+        edges = set(g.edges())
+        sets = [
+            frozenset(s)
+            for k in range(g.n + 1)
+            for s in combinations(range(1, g.n + 1), k)
+            if edges.isdisjoint(combinations(s, 2))
+        ]
+        covers = verify._cover_pairs(g)
+        assert covers == sum(map(len, _hasse_masks(g)[1])) == brute_cover_count(sets)
 
     @given(canonical_mask_sets())
     def test_hamming_pairs_are_the_brute_force_hamming_one_relation(self, masks):

@@ -204,6 +204,57 @@ class TestPowerGraphs:
             SimpleGraph(2, (0b10, 0b00))  # asymmetric
 
 
+@st.composite
+def edge_lists(draw):
+    """A vertex count up to 9 and an edge list over it, with repeats and
+    both orientations of a pair."""
+    n = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return n, edges
+
+
+class TestFromEdges:
+    """from_edges sets its fields without the validating constructor, so its
+    graphs must be the ones that constructor accepts."""
+
+    @given(edge_lists())
+    def test_equals_the_validated_graph(self, case):
+        n, edges = case
+        rows = [0] * n
+        for i, j in edges:
+            rows[i - 1] |= 1 << (j - 1)
+            rows[j - 1] |= 1 << (i - 1)
+        g = SimpleGraph.from_edges(n, edges)
+        assert g == SimpleGraph(n, rows)
+        assert type(g.adj) is tuple
+        assert set(g.edges()) == {(min(e), max(e)) for e in edges}
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_order_is_rejected(self, n):
+        with pytest.raises(ValueError, match="adjacency length does not match vertex count"):
+            SimpleGraph.from_edges(n, [])
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((2, 2), r"bad edge \(2, 2\) for n=3"),
+            ((0, 1), r"bad edge \(0, 1\) for n=3"),
+            ((1, 4), r"bad edge \(1, 4\) for n=3"),
+            ((-1, 2), r"bad edge \(-1, 2\) for n=3"),
+        ],
+    )
+    def test_bad_edges_are_named(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            SimpleGraph.from_edges(3, [(1, 2), edge])
+
+    @given(edge_lists())
+    def test_pickle_and_copy_roundtrip(self, case):
+        g = SimpleGraph.from_edges(*case)
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and twin.adj == g.adj
+
+
 class TestIndependence:
     def test_alternating_path_vertices(self):
         g = power_path(5, 1)

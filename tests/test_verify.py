@@ -284,6 +284,21 @@ def test_counterexample_text(monkeypatch, check, route, at, bounds, counterexamp
 
 
 @pytest.mark.parametrize(
+    "check, at, counterexample",
+    [
+        ("check_path_cover_counts", (6, 2), "n=6 h=2: covers=19 sum=18 conv=18"),
+        ("check_cycle_cover_counts", (7, 2), "n=7 h=2: covers=22 sum=21 closed=21"),
+    ],
+)
+def test_cover_pair_counterexample_text(monkeypatch, check, at, counterexample):
+    real = verify._cover_count
+    monkeypatch.setattr(
+        verify, "_cover_count", lambda build: lambda n, h: real(build)(n, h) + ((n, h) == at)
+    )
+    assert getattr(verify, check)(2, 8) == counterexample
+
+
+@pytest.mark.parametrize(
     "check, total, count_k, at, bounds, counterexample",
     [
         (
@@ -415,6 +430,24 @@ def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
 
     monkeypatch.setattr(cubes, "_hasse_masks", tampered)
     assert verify.check_hasse_grading(1, 6) == counterexample
+
+
+def test_diagram_builder_stays_checked_by_default_verify(monkeypatch):
+    # `export --what hasse` reads _hasse_masks; dropping one cover of one
+    # graph must fail the grading check and the Lucas-cube comparison
+    real = cubes._hasse_masks
+    cycle = graphs.power_cycle(5, 1)
+
+    def tampered(g):
+        masks, ups = real(g)
+        return (masks, _edited(ups, drop=(0, 1))) if g == cycle else (masks, ups)
+
+    monkeypatch.setattr(cubes, "_hasse_masks", tampered)
+    failed = {c.name: c.counterexample for c in verify.run_all(1, 20, 6).checks if not c.ok}
+    assert failed == {
+        "hasse-cover-grading": "n=5 h=1 cyclic=True: covers 14 != weighted levels 15",
+        "lucas-cube-structure": "n=5: cube differs from the cycle-power diagram",
+    }
 
 
 def test_pattern_cube_counterexample_text(monkeypatch):
@@ -724,6 +757,21 @@ def test_checks_make_every_call_their_sweeps_imply(monkeypatch, h_max, n_max):
     assert verify.check_cycle_recurrence(h_max, n_max) is None
     assert calls["_comb"] == binomials
     assert calls["path_count_k"] == calls["cycle_count_k"] == 0
+
+
+@pytest.mark.parametrize("h_max, n_max", [(0, 0), (2, 7), (4, 10)])
+def test_only_the_grading_check_builds_diagrams(monkeypatch, h_max, n_max):
+    """The cover-count checks count cover pairs from the enumerated masks;
+    the grading check builds one diagram per swept graph, path and cycle."""
+    diagrams = {
+        "check_path_cover_counts": 0,
+        "check_cycle_cover_counts": 0,
+        "check_hasse_grading": 2 * (h_max + 1) * (n_max + 1),
+    }
+    for check, expected in diagrams.items():
+        calls = _counted(monkeypatch, [((cubes,), "_hasse_masks")])
+        assert getattr(verify, check)(h_max, n_max) is None
+        assert calls == {"_hasse_masks": expected}, check
 
 
 @pytest.mark.parametrize("h_max", [0, 2, 4])
