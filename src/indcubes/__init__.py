@@ -24,9 +24,7 @@ from .counting import (
     subset_to_indices,
 )
 from .cubes import (
-    PosetDiagram,
     avoiding_strings,
-    diagram_as_graph,
     fibonacci_cube,
     fibonacci_strings,
     generalized_cube,
@@ -34,7 +32,6 @@ from .cubes import (
     lucas_cube,
     lucas_strings,
     power_patterns,
-    same_labeled_graph,
 )
 from .graphs import (
     CapacityError,

@@ -3,61 +3,20 @@
 The Hasse diagram of the independent subsets of a path power, read as binary
 strings, is a Fibonacci-cube-like graph; the cycle-power analogue is a
 Lucas-cube-like graph. This module builds the diagrams, the classic cubes,
-and the pattern-avoidance cubes, so the structural identities between them
-can be checked vertex for vertex and edge for edge.
+and the pattern-avoidance cubes, each as a SimpleGraph whose nodes are its
+strings in canonical (cardinality, mask) order, so the structural identities
+between them are plain graph equality.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .graphs import (
-    CapacityError,
-    Record,
-    SimpleGraph,
-    VertexSubset,
-    _check_pattern,
-    _independent_masks,
-    _set_field,
-)
+from .graphs import CapacityError, SimpleGraph, VertexSubset, _check_pattern, _independent_masks
 
 #: Node counts grow like the total independent-subset count, so diagram and
 #: cube construction is capped well below the 64-bit mask limit.
 MAX_CUBE_ORDER = 20
-
-
-class PosetDiagram(Record):
-    """Hasse diagram of independent subsets ordered by inclusion.
-
-    levels[k] holds the size-k subsets in canonical order; covers are the
-    ordered pairs (smaller, larger) with the larger one element bigger,
-    sorted by the smaller's canonical position, then the larger's mask.
-    """
-
-    __slots__ = ("n", "levels", "covers")
-
-    def __init__(
-        self,
-        n: int,
-        levels: tuple[tuple[VertexSubset, ...], ...],
-        covers: tuple[tuple[VertexSubset, VertexSubset], ...],
-    ) -> None:
-        _set_field(self, "n", n)
-        _set_field(self, "levels", levels)
-        _set_field(self, "covers", covers)
-
-    def nodes(self) -> tuple[VertexSubset, ...]:
-        """All nodes, flattened in canonical (cardinality, mask) order."""
-        return tuple(s for level in self.levels for s in level)
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-    @property
-    def cover_count(self) -> int:
-        return len(self.covers)
 
 
 def _check_cube_order(n: int) -> None:
@@ -92,26 +51,21 @@ def _hasse_masks(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     return masks, ups
 
 
-def hasse_diagram(g: SimpleGraph) -> PosetDiagram:
-    """Diagram of the independent subsets of g ordered by inclusion."""
-    masks, ups = _hasse_masks(g)
-    nodes = [VertexSubset(m, g.n) for m in masks]
-    # Independent sets are closed under taking subsets, so no level is empty.
-    levels = groupby(nodes, key=lambda s: s.cardinality)
-    return PosetDiagram(
-        g.n,
-        tuple(tuple(level) for _, level in levels),
-        tuple((low, nodes[j]) for low, js in zip(nodes, ups) for j in js),
-    )
+def hasse_diagram(g: SimpleGraph) -> SimpleGraph:
+    """Cover graph of the independent subsets of g ordered by inclusion.
+
+    Node i is enumerate_independent(g)[i - 1], and each edge (i, j) with
+    i < j is a cover whose smaller set is node i: the canonical order puts
+    the smaller set first.
+    """
+    return _up_graph(_hasse_masks(g)[1])
 
 
-def diagram_as_graph(d: PosetDiagram) -> SimpleGraph:
-    """Undirected view of the diagram: one vertex per node (in canonical
-    order), one edge per cover pair."""
-    nodes = d.nodes()
-    index = {s.bits: i for i, s in enumerate(nodes, 1)}
-    edges = ((index[low.bits], index[high.bits]) for low, high in d.covers)
-    return SimpleGraph.from_edges(len(nodes), edges)
+def _up_graph(ups: Sequence[Sequence[int]]) -> SimpleGraph:
+    """Graph on len(ups) nodes joining node i + 1 to node j + 1 for each j in
+    ups[i] (up-lists of 0-based indices, as the builders here return them)."""
+    edges = ((i, j + 1) for i, js in enumerate(ups, 1) for j in js)
+    return SimpleGraph.from_edges(len(ups), edges)
 
 
 def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
@@ -137,8 +91,7 @@ def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
 
 def _hamming_cube(masks: Sequence[int]) -> SimpleGraph:
     """Graph on the given masks with edges at Hamming distance one."""
-    edges = ((i, j + 1) for i, js in enumerate(_hamming_pairs(masks), 1) for j in js)
-    return SimpleGraph.from_edges(len(masks), edges)
+    return _up_graph(_hamming_pairs(masks))
 
 
 def _fibonacci_masks(n: int) -> list[int]:
@@ -228,36 +181,3 @@ def power_patterns(h: int) -> list[str]:
     if h < 1:
         raise ValueError("h must be at least 1")
     return ["1" + "0" * j + "1" for j in range(h)]
-
-
-def same_labeled_graph(
-    a: SimpleGraph,
-    a_labels: Sequence[str],
-    b: SimpleGraph,
-    b_labels: Sequence[str],
-    label_map: Mapping[str, str] | None = None,
-) -> bool:
-    """Whether label_map carries a's labeled vertices and edges exactly onto b's.
-
-    label_map defaults to the identity. Labels must be unique per graph and
-    the map must be defined and injective on a's labels; anything else is a
-    caller error. A mapped label missing from b, or any edge mismatch, makes
-    the graphs differ and returns False.
-    """
-    if len(a_labels) != a.n or len(b_labels) != b.n:
-        raise ValueError("label list length must match the vertex count")
-    if len(set(a_labels)) != a.n or len(set(b_labels)) != b.n:
-        raise ValueError("labels must be unique")
-    if label_map is None:
-        mapped = list(a_labels)
-    else:
-        try:
-            mapped = [label_map[lab] for lab in a_labels]
-        except KeyError as exc:
-            raise ValueError(f"label map undefined for {exc.args[0]!r}") from None
-        if len(set(mapped)) != len(mapped):
-            raise ValueError("label map is not injective")
-    if a.n != b.n or set(mapped) != set(b_labels):
-        return False
-    a_edges = {frozenset((mapped[i - 1], mapped[j - 1])) for i, j in a.edges()}
-    return a_edges == {frozenset((b_labels[i - 1], b_labels[j - 1])) for i, j in b.edges()}

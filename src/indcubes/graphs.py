@@ -67,8 +67,10 @@ class VertexSubset(Record):
     def __init__(self, bits: int, n: int) -> None:
         if not 0 <= n <= MAX_VERTICES:
             raise CapacityError(f"subset width {n} outside 0..{MAX_VERTICES}")
-        if bits < 0 or bits >> n:
-            raise ValueError(f"mask {bits:#x} has bits beyond position {n}")
+        if bits >> n:  # nonzero for a negative mask too
+            raise ValueError(
+                f"mask {bits} is negative" if bits < 0 else f"mask {bits:#x} has bits beyond position {n}"
+            )
         _set_field(self, "bits", bits)
         _set_field(self, "n", n)
 
@@ -111,7 +113,8 @@ class VertexSubset(Record):
         return 1 <= vertex <= self.n and bool((self.bits >> (vertex - 1)) & 1)
 
     def sort_key(self) -> tuple[int, int]:
-        """Canonical order used everywhere: (cardinality, mask value)."""
+        """Key of the canonical (cardinality, mask value) order, the order in
+        which the mask cores return their masks."""
         return (self.cardinality, self.bits)
 
 
@@ -130,8 +133,10 @@ class SimpleGraph(Record):
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         for i, row in enumerate(adj):
-            if row >> n:
-                raise ValueError(f"row {i} has bits beyond position {n}")
+            if row >> n:  # nonzero for a negative row too
+                raise ValueError(
+                    f"row {i} is negative: {row}" if row < 0 else f"row {i} has bits beyond position {n}"
+                )
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at v_{i + 1}")
             m = row

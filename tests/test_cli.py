@@ -15,7 +15,6 @@ from indcubes.cubes import (
     fibonacci_cube,
     fibonacci_strings,
     generalized_cube,
-    hasse_diagram,
     lucas_cube,
     lucas_strings,
     power_patterns,
@@ -441,20 +440,21 @@ def _export_args(family, n):
 
 def _public_export(family, what, n, patterns=("11", "101"), circular=True):
     """Labels and 1-based edges of an export, read from the public objects
-    instead of the CLI's own route; path and cycle at h = 2."""
-    if family in ("path", "cycle"):
+    instead of the CLI's own route; path and cycle at h = 2.
+
+    The h = 2 diagram is read as the cube on the strings avoiding 11 and 101
+    (circularly for the cycle), so it comes from the pattern generator and the
+    Hamming-1 pairs, not from the diagram builder that the CLI calls."""
+    if family in ("path", "cycle") and what == "graph":
         g = (power_path if family == "path" else power_cycle)(n, 2)
-        if what == "graph":
-            return [str(i) for i in range(1, n + 1)], list(g.edges())
-        d = hasse_diagram(g)
-        nodes = d.nodes()
-        index = {s: i for i, s in enumerate(nodes, 1)}
-        return [s.to_string() for s in nodes], [(index[a], index[b]) for a, b in d.covers]
+        return [str(i) for i in range(1, n + 1)], list(g.edges())
     if family == "fib-cube":
         strings, cube = fibonacci_strings(n), fibonacci_cube(n)
     elif family == "lucas-cube":
         strings, cube = lucas_strings(n), lucas_cube(n)
     else:
+        if family in ("path", "cycle"):
+            patterns, circular = power_patterns(2), family == "cycle"
         strings = avoiding_strings(n, patterns, circular)
         cube = generalized_cube(n, patterns, circular)
     return [s.to_string() for s in strings], list(cube.edges())

@@ -13,7 +13,6 @@ from indcubes.cubes import (
     _hasse_masks,
     _lucas_masks,
     avoiding_strings,
-    diagram_as_graph,
     fibonacci_cube,
     fibonacci_strings,
     generalized_cube,
@@ -21,13 +20,13 @@ from indcubes.cubes import (
     lucas_cube,
     lucas_strings,
     power_patterns,
-    same_labeled_graph,
 )
 from indcubes.graphs import (
     CapacityError,
     SimpleGraph,
     VertexSubset,
     contains_pattern,
+    enumerate_independent,
     power_cycle,
     power_path,
 )
@@ -42,40 +41,42 @@ def _labels(subsets):
 class TestHasseDiagram:
     def test_boolean_lattice(self):
         d = hasse_diagram(power_path(3, 0))
-        assert d.node_count == 8
-        assert d.cover_count == 12
+        assert (d.n, d.edge_count()) == (8, 12)
 
     def test_small_path(self):
         d = hasse_diagram(power_path(3, 1))
-        assert d.node_count == 5
-        assert d.cover_count == 5
+        assert (d.n, d.edge_count()) == (5, 5)
 
     def test_small_cycle(self):
         d = hasse_diagram(power_cycle(5, 1))
-        assert d.node_count == 11
-        assert d.cover_count == 15
+        assert (d.n, d.edge_count()) == (11, 15)
+
+    def test_trivial(self):
+        d = hasse_diagram(power_path(0, 1))
+        assert (d.n, d.edge_count()) == (1, 0)
 
     def test_level_zero_is_empty_set(self):
-        d = hasse_diagram(power_path(4, 2))
-        assert list(d.levels[0]) == [VertexSubset(0, 4)]
+        assert enumerate_independent(power_path(4, 2))[0] == VertexSubset(0, 4)
+        assert hasse_diagram(power_path(4, 2)).degree(1) == 4
 
     def test_covers_go_up_one_level(self):
-        d = hasse_diagram(power_cycle(6, 1))
-        for low, high in d.covers:
-            assert low.bits & ~high.bits == 0
-            assert high.cardinality == low.cardinality + 1
-        # covers come sorted by (low cardinality, low mask, high mask)
         for build in (power_path, power_cycle):
             for n in range(11):
                 for h in range(4):
-                    d = hasse_diagram(build(n, h))
-                    keys = [(low.cardinality, low.bits, high.bits) for low, high in d.covers]
-                    assert all(a < b for a, b in zip(keys, keys[1:])), (build.__name__, n, h)
+                    g = build(n, h)
+                    nodes = enumerate_independent(g)
+                    d = hasse_diagram(g)
+                    assert d.n == len(nodes)
+                    for i, j in d.edges():
+                        low, high = nodes[i - 1], nodes[j - 1]
+                        assert low.bits & ~high.bits == 0, (build.__name__, n, h)
+                        assert high.cardinality == low.cardinality + 1, (build.__name__, n, h)
 
     def test_cover_count_is_weighted_level_sum(self):
         for n, h in [(6, 1), (7, 2), (5, 0)]:
-            d = hasse_diagram(power_path(n, h))
-            assert d.cover_count == sum(k * len(level) for k, level in enumerate(d.levels))
+            g = power_path(n, h)
+            d = hasse_diagram(g)
+            assert d.edge_count() == sum(s.cardinality for s in enumerate_independent(g))
 
     @pytest.mark.parametrize("cyclic", [False, True])
     @pytest.mark.parametrize("n,h", [(6, 1), (7, 2), (5, 0), (8, 3)])
@@ -83,26 +84,12 @@ class TestHasseDiagram:
         g = power_cycle(n, h) if cyclic else power_path(n, h)
         d = hasse_diagram(g)
         sets = brute_independent_sets(n, h, cyclic)
-        assert d.node_count == len(sets)
-        assert d.cover_count == brute_cover_count(sets)
+        assert d.n == len(sets)
+        assert d.edge_count() == brute_cover_count(sets)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
             hasse_diagram(power_path(21, 1))
-
-
-class TestDiagramAsGraph:
-    def test_trivial(self):
-        g = diagram_as_graph(hasse_diagram(power_path(0, 1)))
-        assert (g.n, g.edge_count()) == (1, 0)
-
-    def test_small_path(self):
-        g = diagram_as_graph(hasse_diagram(power_path(3, 1)))
-        assert (g.n, g.edge_count()) == (5, 5)
-
-    def test_three_cube(self):
-        g = diagram_as_graph(hasse_diagram(power_path(3, 0)))
-        assert (g.n, g.edge_count()) == (8, 12)
 
 
 class TestFibonacciCube:
@@ -240,68 +227,34 @@ class TestGeneralizedCube:
             power_patterns(0)
 
 
-class TestSameLabeledGraph:
-    def test_reflexive(self):
-        g = fibonacci_cube(2)
-        labels = _labels(fibonacci_strings(2))
-        assert same_labeled_graph(g, labels, g, labels)
+class TestCubeIsDiagram:
+    """At order 1 the diagram is the classic cube: both index their nodes in
+    canonical order, so the identity is plain graph equality."""
 
     def test_fibonacci_cube_is_path_diagram(self):
-        for n in range(0, 9):
-            cube = fibonacci_cube(n)
-            d = hasse_diagram(power_path(n, 1))
-            assert same_labeled_graph(
-                cube, _labels(fibonacci_strings(n)),
-                diagram_as_graph(d), _labels(d.nodes()),
-            )
+        for n in range(0, 15):
+            g = power_path(n, 1)
+            d = hasse_diagram(g)
+            assert fibonacci_cube(n) == d
+            assert fibonacci_strings(n) == enumerate_independent(g)
+            assert d.edge_count() == counting.path_hasse_edges(n, 1)
+            assert d.edge_count() == brute_cover_count(brute_independent_sets(n, 1, False))
 
     def test_lucas_cube_is_cycle_diagram(self):
-        for n in range(2, 9):
-            cube = lucas_cube(n)
-            d = hasse_diagram(power_cycle(n, 1))
-            assert same_labeled_graph(
-                cube, _labels(lucas_strings(n)),
-                diagram_as_graph(d), _labels(d.nodes()),
-            )
+        for n in range(2, 15):
+            g = power_cycle(n, 1)
+            d = hasse_diagram(g)
+            assert lucas_cube(n) == d
+            assert lucas_strings(n) == enumerate_independent(g)
+            assert d.edge_count() == counting.cycle_hasse_edges(n, 1)
+            assert d.edge_count() == brute_cover_count(brute_independent_sets(n, 1, True))
 
-    def test_detects_edge_mismatch(self):
+    def test_equality_sees_one_edge(self):
         fib = fibonacci_cube(2)  # star at 00: edges 00-10, 00-01
-        labels = _labels(fibonacci_strings(2))
         chain = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])  # path 00-10-01
-        assert not same_labeled_graph(fib, labels, chain, labels)
-
-    def test_detects_vertex_count_mismatch(self):
-        fib = fibonacci_cube(2)
-        labels = _labels(fibonacci_strings(2))
-        square = generalized_cube(2, ["000"])  # nothing excluded: the 2-cube
-        assert not same_labeled_graph(fib, labels, square, _labels(avoiding_strings(2, ["000"])))
-
-    def test_explicit_label_map(self):
-        g = fibonacci_cube(2)
-        labels = _labels(fibonacci_strings(2))
-        renamed = [f"s{lab}" for lab in labels]
-        mapping = {lab: f"s{lab}" for lab in labels}
-        assert same_labeled_graph(g, labels, g, renamed, mapping)
-        # swapping two images breaks the edge correspondence
-        bad = dict(mapping)
-        bad["00"], bad["10"] = bad["10"], bad["00"]
-        assert not same_labeled_graph(g, labels, g, renamed, bad)
-
-    def test_rejects_non_bijective_map(self):
-        g = fibonacci_cube(2)
-        labels = _labels(fibonacci_strings(2))
-        with pytest.raises(ValueError):
-            same_labeled_graph(g, labels, g, labels, {lab: "x" for lab in labels})
-        with pytest.raises(ValueError):
-            same_labeled_graph(g, labels, g, labels, {"00": "00"})
-
-    def test_mapped_label_missing_means_different(self):
-        g = fibonacci_cube(2)
-        labels = _labels(fibonacci_strings(2))  # 00, 10, 01
-        other = generalized_cube(2, ["10"])
-        other_labels = _labels(avoiding_strings(2, ["10"]))  # 00, 01, 11
-        assert len(other_labels) == len(labels)
-        assert not same_labeled_graph(g, labels, other, other_labels)
+        assert fib.n == chain.n and fib.edge_count() == chain.edge_count()
+        assert fib != chain
+        assert hasse_diagram(power_path(3, 1)) != fibonacci_cube(2)
 
 
 def _canonical_order(masks):

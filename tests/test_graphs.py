@@ -132,10 +132,14 @@ class TestVertexSubsetContract:
             VertexSubset(0, 65)
         with pytest.raises(CapacityError):
             VertexSubset(0, -1)
-        with pytest.raises(ValueError, match="bits beyond position 4"):
+        with pytest.raises(ValueError, match="^mask 0x10 has bits beyond position 4$"):
             VertexSubset(1 << 4, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mask -1 is negative$"):
             VertexSubset(-1, 4)
+        with pytest.raises(ValueError, match="^mask -1 is negative$"):
+            VertexSubset(-1, 3)
+        with pytest.raises(ValueError, match="^mask -6 is negative$"):
+            VertexSubset(-6, 0)
         assert VertexSubset((1 << 64) - 1, 64).cardinality == 64
 
 

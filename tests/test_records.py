@@ -9,23 +9,15 @@ import pickle
 import pytest
 
 from indcubes.counting import HFibSequence
-from indcubes.cubes import PosetDiagram
 from indcubes.graphs import SimpleGraph, VertexSubset
 from indcubes.verify import CheckResult, VerificationReport
 
-_EMPTY, _ONE = VertexSubset(0, 1), VertexSubset(1, 1)
 _CHECK = CheckResult("a", "h<=1, n<=2", False, "n=1")
 _CHECK_REPR = "CheckResult(name='a', params='h<=1, n<=2', ok=False, counterexample='n=1')"
 
 # (class, field values in order, repr of the record built from them)
 RECORDS = [
     (SimpleGraph, (2, (2, 1)), "SimpleGraph(n=2, adj=(2, 1))"),
-    (
-        PosetDiagram,
-        (1, ((_EMPTY,), (_ONE,)), ((_EMPTY, _ONE),)),
-        "PosetDiagram(n=1, levels=((VertexSubset(bits=0, n=1),), (VertexSubset(bits=1, n=1),)),"
-        " covers=((VertexSubset(bits=0, n=1), VertexSubset(bits=1, n=1)),))",
-    ),
     (HFibSequence, (1, (1, 1, 2)), "HFibSequence(h=1, terms=(1, 1, 2))"),
     (CheckResult, ("a", "h<=1, n<=2", False, "n=1"), _CHECK_REPR),
     (VerificationReport, ((_CHECK,),), f"VerificationReport(checks=({_CHECK_REPR},))"),
@@ -33,7 +25,6 @@ RECORDS = [
 ]
 FIELDS = {
     SimpleGraph: ("n", "adj"),
-    PosetDiagram: ("n", "levels", "covers"),
     HFibSequence: ("h", "terms"),
     CheckResult: ("name", "params", "ok", "counterexample"),
     VerificationReport: ("checks",),
@@ -121,6 +112,7 @@ def test_missing_or_unknown_fields_raise_type_error():
         (2, (1, 0), "self-loop at v_1"),
         (2, (2, 0), "asymmetric adjacency between v_1, v_2"),
         (3, (0, 4, 0), "asymmetric adjacency between v_2, v_3"),
+        (2, (-1, 0), "row 0 is negative: -1"),
     ],
 )
 def test_simple_graph_validation_errors(n, adj, message):
