@@ -91,6 +91,24 @@ class TestHasseDiagram:
         with pytest.raises(CapacityError):
             hasse_diagram(power_path(21, 1))
 
+    @pytest.mark.parametrize("build", [power_path, power_cycle])
+    def test_is_a_valid_simple_graph(self, build):
+        # rebuilding from the rows re-runs SimpleGraph's validation: no
+        # self-loop, symmetric rows, nothing beyond the last node
+        for n in range(9):
+            for h in range(4):
+                d = hasse_diagram(build(n, h))
+                assert SimpleGraph(d.n, d.adj) == d, (build.__name__, n, h)
+
+    def test_empty_set_is_covered_by_every_singleton(self):
+        for build in (power_path, power_cycle):
+            for n in range(1, 10):
+                for h in range(4):
+                    g = build(n, h)
+                    nodes = enumerate_independent(g)
+                    up = [nodes[j - 1] for i, j in hasse_diagram(g).edges() if i == 1]
+                    assert up == [VertexSubset(1 << v, n) for v in range(n)]
+
 
 class TestFibonacciCube:
     def test_order_one(self):
@@ -248,6 +266,30 @@ class TestCubeIsDiagram:
             assert lucas_strings(n) == enumerate_independent(g)
             assert d.edge_count() == counting.cycle_hasse_edges(n, 1)
             assert d.edge_count() == brute_cover_count(brute_independent_sets(n, 1, True))
+
+    def test_equality_sees_the_node_count(self):
+        fib = fibonacci_cube(2)  # 00, 10, 01
+        square = generalized_cube(2, ["000"])  # nothing excluded: the 2-cube
+        assert (fib.n, square.n) == (3, 4)
+        assert fib != square
+
+    def test_same_size_other_strings_is_another_graph(self):
+        # both cubes have three strings, but 11 replaces 10: a path, not a star
+        assert _labels(fibonacci_strings(2)) == ["00", "10", "01"]
+        assert _labels(avoiding_strings(2, ["10"])) == ["00", "01", "11"]
+        assert fibonacci_cube(2) != generalized_cube(2, ["10"])
+        assert generalized_cube(2, ["10"]) == SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("circular", [False, True])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_diagram_is_the_power_pattern_cube(self, h, circular):
+        """At every order the diagram is the cube on the strings avoiding
+        1 0^j 1 for j < h, read circularly for the cycle."""
+        patterns = power_patterns(h)
+        for n in range(13):
+            g = power_cycle(n, h) if circular else power_path(n, h)
+            assert enumerate_independent(g) == avoiding_strings(n, patterns, circular), n
+            assert hasse_diagram(g) == generalized_cube(n, patterns, circular), n
 
     def test_equality_sees_one_edge(self):
         fib = fibonacci_cube(2)  # star at 00: edges 00-10, 00-01
