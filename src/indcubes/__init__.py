@@ -1,7 +1,6 @@
 """Exact combinatorics of independent subsets of path and cycle powers."""
 
 from .counting import (
-    HFibSequence,
     binom,
     convolve_self,
     cycle_count,
@@ -39,7 +38,6 @@ from .graphs import (
     VertexSubset,
     contains_pattern,
     enumerate_independent,
-    hamming,
     is_independent,
     power_cycle,
     power_path,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from .graphs import Record, VertexSubset, _set_field
+from .graphs import VertexSubset, _negative
 
 
 _comb = math.comb  # the one binomial primitive: `binom` and the sums read it
@@ -32,7 +32,7 @@ def binom(m: int, k: int) -> int:
 def path_count_k(n: int, h: int, k: int) -> int:
     """Number of independent k-subsets of the h-power of an n-path."""
     if n < 0 or h < 0 or k < 0:
-        raise ValueError("n, h, k must be nonnegative")
+        raise _negative(n=n, h=h, k=k)
     return binom(n - h * k + h, k)
 
 
@@ -86,7 +86,7 @@ def _weighted_sum(
     the cover edges if each term is weighted by k, since each k-subset covers
     exactly k subsets one element smaller. Both sums run in C over `map`."""
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     counts = column(n, h)
     return sum(map(operator.mul, itertools.count(), counts)) if weighted else sum(counts)
 
@@ -130,7 +130,7 @@ def path_count_rec(n: int, h: int) -> int:
     """Total path-power count by recurrence only: the total of `_rows` at n,
     a single-term view that walks the rows from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     return _nth(_rows("path", h), n)[0]
 
 
@@ -138,7 +138,7 @@ def cycle_count_rec(n: int, h: int) -> int:
     """Total cycle-power count by recurrence only: the total of `_rows` at n,
     a single-term view that walks the rows from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     return _nth(_rows("cycle", h), n)[0]
 
 
@@ -150,7 +150,7 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
     Inverse of :func:`subset_to_indices`.
     """
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     return VertexSubset(_indices_to_mask(n, h, indices), n)
 
 
@@ -182,7 +182,7 @@ def subset_to_indices(n: int, h: int, s: VertexSubset) -> list[int]:
     if s.n != n:
         raise ValueError(f"subset width {s.n} != n={n}")
     if h < 0:
-        raise ValueError("h must be nonnegative")
+        raise _negative(h=h)
     return _mask_to_indices(h, s.bits)
 
 
@@ -211,7 +211,7 @@ def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:
     if not 1 <= i <= n:
         raise ValueError(f"vertex index {i} outside 1..{n}")
     if k < 0 or h < 0:
-        raise ValueError("h, k must be nonnegative")
+        raise _negative(h=h, k=k)
     return sum(
         path_count_k_clamped(i - h - 1, h, r) * path_count_k_clamped(n - i - h, h, k - 1 - r)
         for r in range(k)
@@ -224,48 +224,28 @@ def path_hasse_edges(n: int, h: int) -> int:
     return _weighted_sum(_path_column, n, h, True)
 
 
-class HFibSequence(Record):
-    """Prefix of the order-h Fibonacci-like sequence: h+1 leading ones, then
-    each term is the previous term plus the term h+1 positions back."""
-
-    __slots__ = ("h", "terms")
-
-    def __init__(self, h: int, terms: Iterable[int]) -> None:
-        _set_field(self, "h", h)
-        _set_field(self, "terms", tuple(terms))
-
-    def term(self, i: int) -> int:
-        """1-based access."""
-        if not 1 <= i <= len(self.terms):
-            raise ValueError(f"index {i} outside 1..{len(self.terms)}")
-        return self.terms[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 def _hfib_terms(h: int) -> Iterator[int]:
     """The endless order-h sequence t_1, t_2, ...: h ones, then the path
     totals, t_i = p(i - h - 1)."""
     return itertools.chain(itertools.repeat(1, h), map(operator.itemgetter(0), _rows("path", h)))
 
 
-def hfib(h: int, length: int) -> HFibSequence:
-    """First `length` terms of the order-h sequence (1-based), an `islice`
-    of the endless `_hfib_terms`."""
+def hfib(h: int, length: int) -> tuple[int, ...]:
+    """First `length` terms t_1..t_length of the order-h sequence, an
+    `islice` of the endless `_hfib_terms`."""
     if h < 0 or length < 0:
-        raise ValueError("h and length must be nonnegative")
-    return HFibSequence(h, itertools.islice(_hfib_terms(h), length))
+        raise _negative(h=h, length=length)
+    return tuple(itertools.islice(_hfib_terms(h), length))
 
 
-def convolve_self(seq: HFibSequence, n: int) -> int:
-    """Self-convolution at n: sum of term(i) * term(n-i+1) for i = 1..n,
-    as one `map` of products over the first n terms and their reverse."""
+def convolve_self(terms: Sequence[int], n: int) -> int:
+    """Self-convolution at n: sum of t_i * t_(n-i+1) for i = 1..n, as one
+    `map` of products over the first n terms and their reverse."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(seq.terms) < n:
-        raise ValueError(f"need {n} terms, have {len(seq.terms)}")
-    t = seq.terms[:n]
+        raise _negative(n=n)
+    if len(terms) < n:
+        raise ValueError(f"need {n} terms, have {len(terms)}")
+    t = terms[:n]
     return sum(map(operator.mul, t, reversed(t)))
 
 
@@ -274,7 +254,7 @@ def path_hasse_edges_conv(n: int, h: int) -> int:
     order-h sequence; agrees with path_hasse_edges everywhere. A single-term
     view: it builds the first n terms afresh, O(n) per call."""
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     return convolve_self(hfib(h, n), n)
 
 
@@ -286,7 +266,7 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
     was fed arguments it cannot count and we fail loudly rather than round.
     """
     if n < 0 or h < 0 or k < 0:
-        raise ValueError("n, h, k must be nonnegative")
+        raise _negative(n=n, h=h, k=k)
     if k == 0:
         return 1
     if k == 1:
@@ -326,7 +306,7 @@ def cycle_hasse_edges_closed(n: int, h: int) -> int:
     sequence term at n - h, term n of `_cycle_edges_closed`. A single-term
     view that walks the stream from 0 at O(n) cost per call."""
     if n < 0 or h < 0:
-        raise ValueError("n, h must be nonnegative")
+        raise _negative(n=n, h=h)
     return _nth(_cycle_edges_closed(h), n)
 
 

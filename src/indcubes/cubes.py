@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import CapacityError, SimpleGraph, VertexSubset, _check_pattern, _independent_masks
+from .graphs import CapacityError, SimpleGraph, VertexSubset, _check_pattern, _independent_masks, _negative
 
 #: Node counts grow like the total independent-subset count, so diagram and
 #: cube construction is capped well below the 64-bit mask limit.
@@ -21,7 +21,7 @@ MAX_CUBE_ORDER = 20
 
 def _check_cube_order(n: int) -> None:
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise _negative(n=n)
     if n > MAX_CUBE_ORDER:
         raise CapacityError(f"n={n} exceeds the cube cap of {MAX_CUBE_ORDER}")
 
@@ -179,5 +179,5 @@ def power_patterns(h: int) -> list[str]:
     """The forbidden substrings for h-power independence strings: two ones
     separated by fewer than h zeros."""
     if h < 1:
-        raise ValueError("h must be at least 1")
+        raise ValueError(f"h must be at least 1 (got h={h})")
     return ["1" + "0" * j + "1" for j in range(h)]

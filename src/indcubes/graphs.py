@@ -75,16 +75,6 @@ class VertexSubset(Record):
         _set_field(self, "n", n)
 
     @classmethod
-    def from_vertices(cls, vertices: Iterable[int], n: int) -> "VertexSubset":
-        """Build from 1-based vertex numbers."""
-        bits = 0
-        for v in vertices:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex v_{v} outside 1..{n}")
-            bits |= 1 << (v - 1)
-        return cls(bits, n)
-
-    @classmethod
     def from_string(cls, s: str) -> "VertexSubset":
         """Build from a binary string b_1...b_n."""
         if set(s) - {"0", "1"}:
@@ -111,11 +101,6 @@ class VertexSubset(Record):
 
     def __contains__(self, vertex: int) -> bool:
         return 1 <= vertex <= self.n and bool((self.bits >> (vertex - 1)) & 1)
-
-    def sort_key(self) -> tuple[int, int]:
-        """Key of the canonical (cardinality, mask value) order, the order in
-        which the mask cores return their masks."""
-        return (self.cardinality, self.bits)
 
 
 class SimpleGraph(Record):
@@ -149,15 +134,9 @@ class SimpleGraph(Record):
         _set_field(self, "n", n)
         _set_field(self, "adj", adj)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """Adjacency of v_i and v_j (1-based)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"vertex outside 1..{self.n}")
-        return bool((self.adj[i - 1] >> (j - 1)) & 1)
-
     def degree(self, i: int) -> int:
         if not 1 <= i <= self.n:
-            raise ValueError(f"vertex outside 1..{self.n}")
+            raise ValueError(f"vertex {i} outside 1..{self.n}")
         return self.adj[i - 1].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -195,9 +174,17 @@ class SimpleGraph(Record):
         return g
 
 
+def _negative(**values: int) -> ValueError:
+    """The error for arguments that must be nonnegative, naming each value;
+    callers compare inline and build it only on failure (hot paths)."""
+    names = ", ".join(values)
+    got = ", ".join(f"{name}={value}" for name, value in values.items())
+    return ValueError(f"{names} must be nonnegative (got {got})")
+
+
 def _check_power_args(n: int, h: int) -> None:
     if n < 0 or h < 0:
-        raise ValueError("n and h must be nonnegative")
+        raise _negative(n=n, h=h)
     if n > MAX_VERTICES:
         raise CapacityError(f"n={n} exceeds the {MAX_VERTICES}-vertex capacity")
 
@@ -283,13 +270,6 @@ def _mask_string(bits: int, n: int) -> str:
     above bit n - 1 keeps the leading zeros, and the slice drops it with
     the "0b"."""
     return bin(bits | 1 << n)[:2:-1]
-
-
-def hamming(a: VertexSubset, b: VertexSubset) -> int:
-    """Number of positions where the two binary strings differ."""
-    if a.n != b.n:
-        raise ValueError(f"width mismatch: {a.n} != {b.n}")
-    return (a.bits ^ b.bits).bit_count()
 
 
 def contains_pattern(s: VertexSubset, pattern: str, circular: bool = False) -> bool:

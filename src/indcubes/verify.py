@@ -174,9 +174,9 @@ def check_cycle_regularity(h_max: int, n_max: int) -> str | None:
 
 def check_enumeration_order(h_max: int, n_max: int) -> str | None:
     """Enumerated masks are strictly sorted by (cardinality, mask value), the
-    sort_key of the subsets that enumerate_independent wraps them in. Every
-    mask is below 2^n, so the integer (cardinality << n) | mask orders the
-    masks exactly as that pair does."""
+    canonical order of the subsets that enumerate_independent wraps them in.
+    Every mask is below 2^n, so the integer (cardinality << n) | mask orders
+    the masks exactly as that pair does."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
         keys = [(m.bit_count() << n) | m for m in graphs._independent_masks(g)]
         if any(map(operator.ge, keys, keys[1:])):
@@ -429,7 +429,7 @@ def check_hfib_prefix(h_max: int, n_max: int) -> str | None:
     """The order-h sequence is h ones followed by the path totals, i.e. its
     i-th term is the clamped total at n = i - h - 1."""
     for h in range(h_max + 1):
-        terms = counting.hfib(h, n_max).terms
+        terms = counting.hfib(h, n_max)
         for i, term in enumerate(terms, 1):
             if term != counting.path_count_clamped(i - h - 1, h):
                 return f"h={h} i={i}: {term} != clamped total"
@@ -582,7 +582,7 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
     raises CapacityError, before any check runs.
     """
     if min(h_max, n_max_formula, n_max_oracle) < 0:
-        raise ValueError("h_max, n_max_formula and n_max_oracle must be nonnegative")
+        raise graphs._negative(h_max=h_max, n_max_formula=n_max_formula, n_max_oracle=n_max_oracle)
     if n_max_oracle > cubes.MAX_CUBE_ORDER:
         raise graphs.CapacityError(
             f"n_max_oracle={n_max_oracle} exceeds the cube cap of {cubes.MAX_CUBE_ORDER}"

@@ -1,8 +1,26 @@
 import re
+import shlex
 import types
 from pathlib import Path
 
+import pytest
+
 import indcubes
+from indcubes import cli
+
+
+def readme_block(heading, language):
+    """The first `language` code block under the README's `## heading`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+#: The commands of the README's CLI block, each as argv, continued lines joined.
+CLI_COMMANDS = [
+    shlex.split(line, comments=True)
+    for line in readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
+]
 
 
 def test_star_import_is_every_public_import_and_no_module():
@@ -16,12 +34,23 @@ def test_star_import_is_every_public_import_and_no_module():
     assert {"VertexSubset", "CapacityError", "path_count", "indices_to_subset"} <= namespace.keys()
     assert {"hasse_diagram", "fibonacci_cube", "power_patterns"} <= namespace.keys()
     assert not {"PosetDiagram", "diagram_as_graph", "same_labeled_graph"} & namespace.keys()
-    assert len(namespace) == 38
+    assert not {"HFibSequence", "hamming"} & namespace.keys()
+    assert len(namespace) == 36
 
 
 def test_readme_library_block_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    library = readme.split("\n## Library\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", library, re.S)
-    assert block and "import indcubes" in block.group(1)
-    exec(compile(block.group(1), "README.md", "exec"), {})
+    block = readme_block("Library", "python")
+    assert "import indcubes" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv", CLI_COMMANDS, ids=" ".join)
+def test_readme_cli_block_runs(argv, capsys):
+    """Each command of the README's CLI block exits 0 with output. A `verify`
+    line is only parsed: running both takes seconds, and CI runs `verify`."""
+    assert argv[0] == "indcubes"
+    if argv[1] == "verify":
+        assert cli.build_parser().parse_args(argv[1:]).command == "verify"
+    else:
+        assert cli.main(argv[1:]) == 0
+        assert capsys.readouterr().out

@@ -1,11 +1,11 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indcubes import counting, graphs
+from indcubes import counting, cubes, graphs, verify
 from indcubes.graphs import (
     CapacityError,
     SimpleGraph,
@@ -103,11 +103,9 @@ class TestIndexBijection:
         assert counting.indices_to_subset(7, 1, [1, 3, 5]).vertices() == (1, 4, 7)
 
     def test_inverse_examples(self):
-        assert counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 4], 5)) == [1, 2]
+        assert counting.subset_to_indices(5, 2, VertexSubset.from_string("10010")) == [1, 2]
         assert counting.subset_to_indices(6, 1, VertexSubset(0, 6)) == []
-        assert counting.subset_to_indices(
-            7, 1, VertexSubset.from_vertices([1, 4, 7], 7)
-        ) == [1, 3, 5]
+        assert counting.subset_to_indices(7, 1, VertexSubset.from_string("1001001")) == [1, 3, 5]
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
@@ -135,11 +133,32 @@ class TestIndexBijection:
                 id="huge-index",
             ),
             (
-                lambda: counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 3], 5)),
+                lambda: counting.subset_to_indices(5, 2, VertexSubset.from_string("10100")),
                 "subset is not independent in the path power",
             ),
             (lambda: counting.subset_to_indices(5, 1, VertexSubset(0, 4)), "subset width 4 != n=5"),
-            (lambda: counting.subset_to_indices(3, -1, VertexSubset(0, 3)), "h must be nonnegative"),
+            (
+                lambda: counting.subset_to_indices(3, -1, VertexSubset(0, 3)),
+                "h must be nonnegative (got h=-1)",
+            ),
+            (lambda: counting.path_count_k(3, -1, 2), "n, h, k must be nonnegative (got n=3, h=-1, k=2)"),
+            (lambda: counting.cycle_count(-4, 1), "n, h must be nonnegative (got n=-4, h=1)"),
+            (lambda: counting.hfib(2, -1), "h, length must be nonnegative (got h=2, length=-1)"),
+            (lambda: counting.convolve_self([1, 1], -1), "n must be nonnegative (got n=-1)"),
+            (lambda: counting.convolve_self([1, 1], 3), "need 3 terms, have 2"),
+            (
+                lambda: counting.path_count_k_containing(5, 1, -2, 3),
+                "h, k must be nonnegative (got h=1, k=-2)",
+            ),
+            (lambda: power_path(5, -1), "n, h must be nonnegative (got n=5, h=-1)"),
+            (lambda: cubes.fibonacci_cube(-1), "n must be nonnegative (got n=-1)"),
+            (lambda: cubes.power_patterns(0), "h must be at least 1 (got h=0)"),
+            (lambda: power_path(3, 1).degree(4), "vertex 4 outside 1..3"),
+            (
+                lambda: verify.run_all(h_max=2, n_max_formula=-1, n_max_oracle=5),
+                "h_max, n_max_formula, n_max_oracle must be nonnegative"
+                " (got h_max=2, n_max_formula=-1, n_max_oracle=5)",
+            ),
         ],
     )
     def test_error_messages(self, call, message):
@@ -154,7 +173,7 @@ class TestIndexBijection:
 
     def test_rejects_dependent_subset(self):
         with pytest.raises(ValueError):
-            counting.subset_to_indices(5, 2, VertexSubset.from_vertices([1, 3], 5))
+            counting.subset_to_indices(5, 2, VertexSubset.from_string("10100"))
         with pytest.raises(ValueError):
             counting.subset_to_indices(3, -1, VertexSubset(0, 3))
         # the gap rule agrees with independence in the path-power graph
@@ -321,28 +340,31 @@ class TestEdgeCounts:
 
 class TestHFib:
     def test_prefixes(self):
-        assert counting.hfib(0, 5).terms == (1, 2, 4, 8, 16)
-        assert counting.hfib(1, 6).terms == (1, 1, 2, 3, 5, 8)
-        assert counting.hfib(2, 6).terms == (1, 1, 1, 2, 3, 4)
-
-    def test_term_access(self):
-        seq = counting.hfib(1, 10)
-        assert seq.term(1) == 1 and seq.term(10) == 55
-        with pytest.raises(ValueError):
-            seq.term(0)
-        with pytest.raises(ValueError):
-            seq.term(11)
+        assert counting.hfib(0, 5) == (1, 2, 4, 8, 16)
+        assert counting.hfib(1, 6) == (1, 1, 2, 3, 5, 8)
+        assert counting.hfib(2, 6) == (1, 1, 1, 2, 3, 4)
+        assert counting.hfib(1, 0) == ()
 
     def test_matches_clamped_path_totals(self):
         for h in range(5):
-            seq = counting.hfib(h, 40)
-            for i in range(1, 41):
-                assert seq.term(i) == counting.path_count_clamped(i - h - 1, h)
+            for length in (0, 1, h + 1, 40):
+                terms = counting.hfib(h, length)
+                assert type(terms) is tuple
+                assert terms == tuple(islice(counting._hfib_terms(h), length))
+                for i, term in enumerate(terms, 1):
+                    assert term == counting.path_count_clamped(i - h - 1, h)
 
     def test_convolution(self):
         assert counting.convolve_self(counting.hfib(1, 5), 0) == 0
         assert counting.convolve_self(counting.hfib(1, 3), 3) == 5
         assert counting.convolve_self(counting.hfib(2, 5), 5) == 11
+        # any sequence of terms convolves alike: a list, a tuple, hfib's result
+        for h in range(5):
+            terms = counting.hfib(h, 30)
+            for n in range(31):
+                want = counting.path_hasse_edges(n, h)
+                for given_terms in (list(terms), tuple(terms), terms):
+                    assert counting.convolve_self(given_terms, n) == want
 
     def test_convolution_needs_enough_terms(self):
         with pytest.raises(ValueError):
@@ -484,10 +506,9 @@ class TestMappedSums:
 
     @pytest.mark.parametrize("h", range(0, 7))
     def test_convolution_equals_pairwise_sum(self, h):
-        seq = counting.hfib(h, 300)
-        t = seq.terms
+        t = counting.hfib(h, 300)
         for n in range(301):
-            assert counting.convolve_self(seq, n) == sum(t[i] * t[n - 1 - i] for i in range(n))
+            assert counting.convolve_self(t, n) == sum(t[i] * t[n - 1 - i] for i in range(n))
 
 
 class TestRecurrenceRows:

@@ -224,7 +224,7 @@ class TestGeneralizedCube:
                     scan = [VertexSubset(m, n) for m in range(1 << n)]
                     want = [
                         s
-                        for s in sorted(scan, key=VertexSubset.sort_key)
+                        for s in sorted(scan, key=lambda s: (s.cardinality, s.bits))
                         if not any(contains_pattern(s, p, circular) for p in patterns)
                     ]
                     got = avoiding_strings(n, patterns, circular)

@@ -15,7 +15,6 @@ from indcubes.graphs import (
     _mask_string,
     contains_pattern,
     enumerate_independent,
-    hamming,
     is_independent,
     power_cycle,
     power_path,
@@ -71,10 +70,6 @@ class TestVertexSubset:
         with pytest.raises(ValueError, match="not a binary string"):
             VertexSubset.from_string(text)
 
-    def test_from_vertices(self):
-        assert VertexSubset.from_vertices([2, 4], 5).to_string() == "01010"
-        assert VertexSubset.from_vertices([], 0).to_string() == ""
-
     def test_vertices_walk_set_bits(self):
         assert VertexSubset(0, 0).vertices() == ()
         assert VertexSubset(1 << 63, 64).vertices() == (64,)
@@ -84,8 +79,6 @@ class TestVertexSubset:
             assert VertexSubset(m, 9).vertices() == want
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            VertexSubset.from_vertices([6], 5)
         with pytest.raises(ValueError):
             VertexSubset(0b100, 2)
         with pytest.raises(CapacityError):
@@ -108,7 +101,7 @@ class TestVertexSubsetContract:
         a, b = VertexSubset(5, 4), VertexSubset(5, 4)
         assert a == b and a is not b
         assert hash(a) == hash(b)
-        assert len({a, b, VertexSubset.from_vertices([1, 3], 4)}) == 1
+        assert len({a, b, VertexSubset.from_string("1010")}) == 1
 
     def test_equal_only_to_same_bits_and_width(self):
         s = VertexSubset(5, 4)
@@ -185,20 +178,6 @@ class TestPowerGraphs:
         assert power_path(n, h).edge_count() == brute_edge_count(n, h, cyclic=False)
         assert power_cycle(n, h).edge_count() == brute_edge_count(n, h, cyclic=True)
 
-    def test_has_edge(self):
-        g = power_cycle(6, 2)
-        assert g.has_edge(1, 3) and g.has_edge(3, 1)
-        assert g.has_edge(1, 6) and g.has_edge(6, 1)  # wraps around
-        assert not g.has_edge(1, 4) and not g.has_edge(4, 1)
-        assert not g.has_edge(2, 2)
-        edges = set(g.edges())
-        for i in range(1, 7):
-            for j in range(1, 7):
-                assert g.has_edge(i, j) == g.has_edge(j, i) == ((min(i, j), max(i, j)) in edges)
-        for i, j in [(0, 1), (1, 0), (7, 1), (1, 7)]:
-            with pytest.raises(ValueError):
-                g.has_edge(i, j)
-
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, (0b10,) * 1)  # wrong row count
@@ -262,15 +241,15 @@ class TestFromEdges:
 class TestIndependence:
     def test_alternating_path_vertices(self):
         g = power_path(5, 1)
-        assert is_independent(g, VertexSubset.from_vertices([1, 3, 5], 5))
+        assert is_independent(g, VertexSubset.from_string("10101"))
 
     def test_within_reach_is_dependent(self):
         g = power_path(5, 2)
-        assert not is_independent(g, VertexSubset.from_vertices([1, 3], 5))
+        assert not is_independent(g, VertexSubset.from_string("10100"))
 
     def test_cycle_wraparound(self):
         g = power_cycle(5, 1)
-        assert not is_independent(g, VertexSubset.from_vertices([1, 5], 5))
+        assert not is_independent(g, VertexSubset.from_string("10001"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -280,7 +259,7 @@ class TestIndependence:
         for g in random_graphs(40, 10, seed=7):
             for m in range(1 << g.n):
                 members = [i + 1 for i in range(g.n) if m >> i & 1]
-                want = not any(g.has_edge(i, j) for i, j in combinations(members, 2))
+                want = not any(g.adj[i - 1] >> (j - 1) & 1 for i, j in combinations(members, 2))
                 assert is_independent(g, VertexSubset(m, g.n)) == want
 
 
@@ -353,7 +332,7 @@ class TestEnumeration:
     def test_output_strictly_sorted(self):
         for n, h in [(8, 0), (10, 1), (9, 2)]:
             out = enumerate_independent(power_path(n, h))
-            keys = [s.sort_key() for s in out]
+            keys = [(s.cardinality, s.bits) for s in out]
             assert keys == sorted(set(keys))
 
     def test_membership_equivalence(self):
@@ -363,23 +342,6 @@ class TestEnumeration:
             for m in range(1 << n):
                 s = VertexSubset(m, n)
                 assert is_independent(g, s) == (m in enumerated)
-
-
-class TestHamming:
-    def test_examples(self):
-        assert hamming(VertexSubset.from_string("0000"), VertexSubset.from_string("0000")) == 0
-        assert hamming(VertexSubset.from_string("101"), VertexSubset.from_string("001")) == 1
-        assert hamming(VertexSubset.from_string("10101"), VertexSubset.from_string("01010")) == 5
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming(VertexSubset(0, 3), VertexSubset(0, 4))
-
-    @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
-    def test_symmetric_and_zero_on_equal(self, a, b):
-        x, y = VertexSubset(a, 10), VertexSubset(b, 10)
-        assert hamming(x, y) == hamming(y, x)
-        assert (hamming(x, y) == 0) == (a == b)
 
 
 class TestContainsPattern:

@@ -8,8 +8,7 @@ import pickle
 
 import pytest
 
-from indcubes.counting import HFibSequence
-from indcubes.graphs import SimpleGraph, VertexSubset
+from indcubes.graphs import Record, SimpleGraph, VertexSubset, _set_field
 from indcubes.verify import CheckResult, VerificationReport
 
 _CHECK = CheckResult("a", "h<=1, n<=2", False, "n=1")
@@ -18,14 +17,12 @@ _CHECK_REPR = "CheckResult(name='a', params='h<=1, n<=2', ok=False, counterexamp
 # (class, field values in order, repr of the record built from them)
 RECORDS = [
     (SimpleGraph, (2, (2, 1)), "SimpleGraph(n=2, adj=(2, 1))"),
-    (HFibSequence, (1, (1, 1, 2)), "HFibSequence(h=1, terms=(1, 1, 2))"),
     (CheckResult, ("a", "h<=1, n<=2", False, "n=1"), _CHECK_REPR),
     (VerificationReport, ((_CHECK,),), f"VerificationReport(checks=({_CHECK_REPR},))"),
     (VertexSubset, (5, 4), "VertexSubset(bits=5, n=4)"),
 ]
 FIELDS = {
     SimpleGraph: ("n", "adj"),
-    HFibSequence: ("h", "terms"),
     CheckResult: ("name", "params", "ok", "counterexample"),
     VerificationReport: ("checks",),
     VertexSubset: ("bits", "n"),
@@ -81,8 +78,18 @@ class TestRecordContract:
 
 
 def test_records_of_different_classes_with_equal_values_differ():
-    assert SimpleGraph(2, (2, 1)) != HFibSequence(2, (2, 1))
-    assert HFibSequence(2, (2, 1)) != SimpleGraph(2, (2, 1))
+    assert SimpleGraph(2, (0, 0)) != VertexSubset(0, 2)
+    assert VertexSubset(0, 2) != SimpleGraph(2, (0, 0))
+
+    class Twin(Record):  # SimpleGraph's fields, but not a subclass of it
+        __slots__ = ("n", "adj")
+
+        def __init__(self, n, adj):
+            _set_field(self, "n", n)
+            _set_field(self, "adj", adj)
+
+    twin, graph = Twin(2, (2, 1)), SimpleGraph(2, (2, 1))
+    assert hash(twin) == hash(graph) and twin != graph and graph != twin
 
 
 def test_check_result_counterexample_defaults_to_none():
@@ -94,11 +101,11 @@ def test_check_result_counterexample_defaults_to_none():
 
 def test_missing_or_unknown_fields_raise_type_error():
     with pytest.raises(TypeError):
-        HFibSequence(1)
+        SimpleGraph(1)
     with pytest.raises(TypeError):
-        HFibSequence(1, (1,), 2)
+        SimpleGraph(1, (0,), 2)
     with pytest.raises(TypeError):
-        HFibSequence(h=1, terms=(1,), other=2)
+        SimpleGraph(n=1, adj=(0,), other=2)
     with pytest.raises(TypeError):
         CheckResult("a", "r")
 
@@ -129,10 +136,9 @@ def test_simple_graph_validation_errors(n, adj, message):
     "build, field, values, other",
     [
         (lambda seq: SimpleGraph(3, seq), "adj", (0, 0, 0), 6),
-        (lambda seq: HFibSequence(1, seq), "terms", (1, 1, 2), 6),
         (VerificationReport, "checks", (_CHECK, _CHECK), CheckResult("b", "r", True)),
     ],
-    ids=["SimpleGraph", "HFibSequence", "VerificationReport"],
+    ids=["SimpleGraph", "VerificationReport"],
 )
 def test_sequence_fields_are_stored_as_tuples(build, field, values, other):
     given = list(values)
