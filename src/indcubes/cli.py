@@ -6,19 +6,25 @@ invariant broke; stderr names the command and its inputs), 141 stdout closed
 before all output was written (`| head`), as a shell reports a SIGPIPE death.
 Output for fixed arguments is byte-identical across runs.
 
+`table`, `seq` and `export` write in blocks of about 64 KiB, so memory
+follows the model, not the text; an internal fault in a `table --per-k` past
+its first block leaves the blocks written.
+
 `table` and `seq` honour Python's int-to-str digit limit (4,300 by default).
-Every value is checked against it before any is converted, so a command with
-a value over it fails at once: exit 2, nothing on stdout, and one stderr line
-naming the first offending row or term and the limit. Raise the limit with
-PYTHONINTMAXSTRDIGITS or `python -X int_max_str_digits=N`; 0 lifts it.
+A first pass checks every value against it and holds none, so a command with
+a value over it fails before any is converted: exit 2, nothing on stdout, and
+one stderr line naming the first offending row or term and the limit. Raise
+the limit with PYTHONINTMAXSTRDIGITS or `python -X int_max_str_digits=N`; 0
+lifts it and skips the check.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, cubes, graphs
 
@@ -29,7 +35,7 @@ def _nonneg(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+        raise argparse.ArgumentTypeError(f"must be nonnegative (got {value})")
     return value
 
 
@@ -40,69 +46,93 @@ def _parse_patterns(csv: str) -> list[str]:
     return patterns
 
 
+#: Characters gathered before each write to stdout: a Linux pipe's capacity.
+_BLOCK = 1 << 16
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the concatenated pieces to sys.stdout, as it is at the call, in
+    blocks of at least _BLOCK characters (the last may be shorter), so the
+    text is never held whole and no write is made per row or per node."""
+    write = sys.stdout.write
+    block: list[str] = []
+    size = 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            write("".join(block))
+            block.clear()
+            size = 0
+    if size:
+        write("".join(block))
+
+
 def _render_rows(
-    rows: Iterator[tuple[int, ...]],
+    head: str,
+    rows: Callable[[], Iterator[tuple[int, ...]]],
     count: int,
     name: Callable[[int, int], str],
     more: Callable[[tuple[int, ...]], list[int]] | None = None,
-) -> str:
-    """The first `count` rows of nonnegative integers, each followed by
-    `more(row)`, as lines of tab-separated decimals. No value of `more(row)`
-    may exceed the largest of `row`.
+) -> None:
+    """Write head, then the first `count` rows of nonnegative integers of a
+    fresh `rows()` stream, each followed by `more(row)`, as lines of
+    tab-separated decimals. No value of `more(row)` may exceed the largest
+    of `row`.
 
     Python refuses to convert an int of more than sys.get_int_max_str_digits()
-    digits, and str(v) raises exactly when v >= 10**limit. So every row is
-    compared with that bound as it is drawn, before any value is converted:
-    the first value over it stops the drawing and raises ValueError naming it
-    by `name(row, column)` (both 0-based) and the limit. A limit of 0 turns
-    the check off.
+    digits, and str(v) raises exactly when v >= 10**limit. So a first pass
+    compares every value with that bound, holding nothing: the first value
+    over it raises ValueError naming it by `name(row, column)` (both 0-based)
+    and the limit. A second pass converts and writes; only it calls `more`.
+    A limit of 0 skips the first pass.
     """
     # Pythons before 3.10.7 have no limit and no way to read it.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 10**limit
-    held = []
-    for i, row in zip(range(count), rows):
-        if limit and max(row) >= bound:
-            column = next(j for j, v in enumerate(row) if v >= bound)
-            raise ValueError(
-                f"{name(i, column)} has more than {limit} digits, Python's limit for"
-                " int-to-str conversion; raise it with PYTHONINTMAXSTRDIGITS or"
-                " -X int_max_str_digits"
-            )
-        held.append(row)
+    if limit:
+        bound = 10**limit
+        for i, row in zip(range(count), rows()):
+            if max(row) >= bound:
+                column = next(j for j, v in enumerate(row) if v >= bound)
+                raise ValueError(
+                    f"{name(i, column)} has more than {limit} digits, Python's limit for"
+                    " int-to-str conversion; raise it with PYTHONINTMAXSTRDIGITS or"
+                    " -X int_max_str_digits"
+                )
+    drawn = itertools.islice(rows(), count)
     if more is not None:
-        held = [row + tuple(more(row)) for row in held]
-    return "\n".join("\t".join(map(str, row)) for row in held)
+        drawn = ((*row, *more(row)) for row in drawn)
+    _write(itertools.chain((head,), ("\t".join(map(str, row)) + "\n" for row in drawn)))
 
 
-def render_table(family: str, h: int, n_max: int, per_k: bool) -> str:
-    """TSV of totals and poset edge counts for n = 0..n_max, with optional
-    per-size columns. A per-size count never exceeds its row's total, so
-    checking n, total and edges covers the whole table, and no per-size
-    count is computed for a table that fails the check."""
+def render_table(family: str, h: int, n_max: int, per_k: bool) -> None:
+    """Write the TSV of totals and poset edge counts for n = 0..n_max, with
+    optional per-size columns. A per-size count never exceeds its row's
+    total, so checking n, total and edges covers the whole table, and no
+    per-size count is computed for a table that fails the check."""
     count_k = counting.path_count_k if family == "path" else counting.cycle_count_k
     k_cols = counting._max_size(n_max, h) + 1 if per_k else 0
     header = ["n", "total", "edges"] + [f"k{k}" for k in range(k_cols)]
-    rows = ((n, total, edges) for n, (total, edges) in enumerate(counting._rows(family, h)))
-    body = _render_rows(
-        rows,
+    _render_rows(
+        "\t".join(header) + "\n",
+        lambda: ((n, total, edges) for n, (total, edges) in enumerate(counting._rows(family, h))),
         n_max + 1,
         lambda n, column: f"{header[column]} at n={n}",
         (lambda row: [count_k(row[0], h, k) for k in range(k_cols)]) if per_k else None,
     )
-    return "\t".join(header) + "\n" + body
 
 
-def render_seq(kind: str, h: int, count: int) -> str:
-    """One decimal term per line; all kinds start at index 1."""
-    if kind == "hfib":
-        terms = counting._hfib_terms(h)
-    else:
-        rows = counting._rows("path" if kind in ("p", "hedges") else "cycle", h)
-        next(rows)  # index 0
-        column = 0 if kind in ("p", "q") else 1
-        terms = (row[column] for row in rows)
-    return _render_rows(zip(terms), count, lambda i, _: f"term {i + 1}")
+def render_seq(kind: str, h: int, count: int) -> None:
+    """Write one decimal term per line; all kinds start at index 1."""
+    family = "path" if kind in ("p", "hedges") else "cycle"
+    column = 0 if kind in ("p", "q") else 1
+
+    def terms() -> Iterator[tuple[int]]:
+        if kind == "hfib":
+            return zip(counting._hfib_terms(h))
+        return ((row[column],) for row in itertools.islice(counting._rows(family, h), 1, None))
+
+    _render_rows("", terms, count, lambda i, _: f"term {i + 1}")
 
 
 def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]]:
@@ -128,30 +158,36 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]
     return [graphs._mask_string(m, n) for m in masks], ups
 
 
-def _edge_runs(heads: list[str], ups: list[list[int]], tails: list[str], sep: str) -> list[str]:
+def _edge_runs(heads: Iterable[str], ups: list[list[int]], tails: list[str], sep: str) -> Iterator[str]:
     """Each node's edges as one string, for the nodes that have any: the
     node's head before the tail of each j in its up-list, edges joined by
-    sep. Heads and tails are made once per label, so no string is built per
-    edge."""
-    return [head + (sep + head).join([tails[j] for j in js]) for head, js in zip(heads, ups) if js]
+    sep. Heads (drawn lazily) and tails are made once per label, so no
+    string is built per edge."""
+    return (head + (sep + head).join([tails[j] for j in js]) for head, js in zip(heads, ups) if js)
 
 
-def render_export(args: argparse.Namespace) -> str:
+def render_export(args: argparse.Namespace) -> None:
+    _write(_export_pieces(args))
+
+
+def _export_pieces(args: argparse.Namespace) -> Iterator[str]:
     labels, ups = _export_object(args)
     if args.format == "json":
         import json
         # json.dumps's default layout for the 1-based edges [i, j]
-        heads = [f"[{i}, " for i in range(1, len(labels) + 1)]
+        heads = (f"[{i}, " for i in range(1, len(labels) + 1))
         tails = [f"{j}]" for j in range(1, len(labels) + 1)]
-        edges = ", ".join(_edge_runs(heads, ups, tails, ", "))
-        return f'{{"n": {len(labels)}, "labels": {json.dumps(labels)}, "edges": [{edges}]}}'
-    lines = ["graph G {"]
-    lines += [f'  "{lab}";' for lab in labels]
-    heads = [f'  "{lab}" -- "' for lab in labels]
-    tails = [f'{lab}";' for lab in labels]
-    lines += _edge_runs(heads, ups, tails, "\n")
-    lines.append("}")
-    return "\n".join(lines)
+        yield f'{{"n": {len(labels)}, "labels": {json.dumps(labels)}, "edges": ['
+        runs = _edge_runs(heads, ups, tails, ", ")
+        yield next(runs, "")
+        yield from (", " + run for run in runs)
+        yield "]}\n"
+    else:
+        yield "graph G {\n"
+        yield from (f'  "{lab}";\n' for lab in labels)
+        heads = (f'  "{lab}" -- "' for lab in labels)
+        yield from _edge_runs(heads, ups, [f'{lab}";\n' for lab in labels], "")
+        yield "}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,11 +265,9 @@ def _run(argv: Sequence[str] | None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
-            print(render_table(args.family, args.h, args.n_max, args.per_k))
+            render_table(args.family, args.h, args.n_max, args.per_k)
         elif args.command == "seq":
-            text = render_seq(args.kind, args.h, args.count)
-            if text:
-                print(text)
+            render_seq(args.kind, args.h, args.count)
         elif args.command == "verify":
             # Every call is a fresh process: only the commands that use them import verify and json.
             from . import verify
@@ -246,7 +280,7 @@ def _run(argv: Sequence[str] | None) -> int:
             return 0 if report.overall else 1
         else:
             _validate_export(parser, args)
-            print(render_export(args))
+            render_export(args)
     except (graphs.CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

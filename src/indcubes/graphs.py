@@ -115,8 +115,10 @@ class SimpleGraph(Record):
 
     def __init__(self, n: int, adj: Iterable[int]) -> None:
         adj = tuple(adj)  # the graph keeps no reference to a caller's list
-        if n < 0 or len(adj) != n:
-            raise ValueError("adjacency length does not match vertex count")
+        if n < 0:
+            raise _negative(n=n)
+        if len(adj) != n:
+            raise ValueError(f"adjacency length {len(adj)} does not match vertex count {n}")
         for i, row in enumerate(adj):
             if row >> n:  # nonzero for a negative row too
                 raise ValueError(
@@ -167,7 +169,7 @@ class SimpleGraph(Record):
             rows[i - 1] |= 1 << (j - 1)
             rows[j - 1] |= 1 << (i - 1)
         if n < 0:
-            raise ValueError("adjacency length does not match vertex count")
+            raise _negative(n=n)
         g = object.__new__(cls)
         _set_field(g, "n", n)
         _set_field(g, "adj", tuple(rows))

@@ -132,6 +132,25 @@ def _containing_table(n: int, h: int) -> list[list[int]]:
     ]
 
 
+def _grading_fault(n: int, diagram: tuple[list[int], list[list[int]]]) -> str | None:
+    """What is wrong with one mask-level diagram on n vertices, or None. A
+    cover adds one vertex: step = high ^ low is one bit, and not one of low's."""
+    masks, ups = diagram
+    if masks.count(0) != 1:
+        return "level 0 is not [empty]"
+    for low, js in zip(masks, ups):
+        for j in js:
+            high = masks[j]
+            step = high ^ low
+            if low & step or not step or step & (step - 1):
+                return f"bad cover {graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
+    covers = sum(map(len, ups))
+    weighted = sum(map(int.bit_count, masks))
+    if covers != weighted:
+        return f"covers {covers} != weighted levels {weighted}"
+    return None
+
+
 # --- oracle-scale checks (bounded by n_max_oracle) -------------------------
 
 
@@ -254,25 +273,11 @@ def check_bijection_roundtrip(h_max: int, n_max: int) -> str | None:
 
 def check_hasse_grading(h_max: int, n_max: int) -> str | None:
     """Diagram levels start at the empty set, covers go up one level within
-    inclusion, and the cover count is the k-weighted sum of level sizes. A
-    cover adds one vertex: step = high ^ low is one bit, and not one of low's."""
+    inclusion, and the cover count is the k-weighted sum of level sizes. Each
+    diagram lives only in the call that checks it, so one is held at a time."""
     for n, h, cyclic, g in _powers(range(h_max + 1), n_max):
-        masks, ups = cubes._hasse_masks(g)
-        if masks.count(0) != 1:
-            return f"n={n} h={h} cyclic={cyclic}: level 0 is not [empty]"
-        for low, js in zip(masks, ups):
-            for j in js:
-                high = masks[j]
-                step = high ^ low
-                if low & step or not step or step & (step - 1):
-                    return (
-                        f"n={n} h={h} cyclic={cyclic}: bad cover "
-                        f"{graphs._mask_string(low, n)} -> {graphs._mask_string(high, n)}"
-                    )
-        covers = sum(map(len, ups))
-        weighted = sum(map(int.bit_count, masks))
-        if covers != weighted:
-            return f"n={n} h={h} cyclic={cyclic}: covers {covers} != weighted levels {weighted}"
+        if fault := _grading_fault(n, cubes._hasse_masks(g)):
+            return f"n={n} h={h} cyclic={cyclic}: {fault}"
     return None
 
 

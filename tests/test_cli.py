@@ -137,9 +137,13 @@ class TestTable:
         assert exc.value.code == 2
 
     def test_negative_argument_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--family", "path", "--h", "-1", "--n-max", "3"])
-        assert exc.value.code == 2
+        for h in (["--h", "-1"], ["--h=-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", "--family", "path", *h, "--n-max", "3"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith("argument --h: must be nonnegative (got -1)")
 
     def test_internal_fault_has_its_own_exit_code(self, capsys, monkeypatch):
         # a binom that breaks the cycle_count_k divisibility invariant
@@ -542,35 +546,102 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+#: Runs the CLI in a fresh process and prints its exit code and peak resident
+#: memory (VmHWM, kB) on stderr at exit.
+PEAK_SCRIPT = (
+    "import sys\n"
+    "from indcubes import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as f:\n"
+    "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+    "print(code, hwm, file=sys.stderr)\n"
+)
+
+
+def _peak_kb(argv, code=0):
+    """The peak resident memory (kB) of a fresh process running the CLI with
+    argv, stdout discarded; the command must exit with `code`."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT, *argv],
+        env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        timeout=120,
+    )
+    *_, got, peak = done.stderr.split()
+    assert got == str(code), done.stderr
+    return int(peak)
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+
+
+@needs_proc
 class TestExportMemory:
     """A fresh process's peak resident memory (VmHWM), read at exit."""
 
-    SCRIPT = (
-        "import sys\n"
-        "from indcubes import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "sys.stdout.flush()\n"
-        "with open('/proc/self/status') as f:\n"
-        "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
-        "print(code, hwm, file=sys.stderr)\n"
-    )
+    @staticmethod
+    def _fib_cube_dot_kb(n):
+        return _peak_kb(["export", "--family", "fib-cube", "--n", str(n), "--what", "graph", "--format", "dot"])
 
-    def _peak_kb(self, n):
-        argv = ["export", "--family", "fib-cube", "--n", str(n), "--what", "graph", "--format", "dot"]
-        done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv],
-            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            timeout=120,
-        )
-        code, peak = done.stderr.split()
-        assert code == "0", done.stderr
-        return int(peak)
-
-    def test_fib_cube_20_dot_export_grows_by_less_than_24_mb(self):
+    def test_fib_cube_20_dot_export_grows_by_less_than_12_mb(self):
         # 100,610 edges: 29.5 MB over the n = 2 run when each edge had its
-        # own tuple and string, about 20 MB with per-node up-lists
-        assert self._peak_kb(20) - self._peak_kb(2) < 24_000
+        # own tuple and string, about 20 MB with per-node up-lists and the
+        # text built whole, about 7.6 MB with the text written in blocks
+        assert self._fib_cube_dot_kb(20) - self._fib_cube_dot_kb(2) < 12_000
+
+
+@needs_proc
+class TestCountMemory:
+    """table and seq hold no rows: neither the digit check nor the writing
+    keeps more than a block of text, whatever the row count."""
+
+    BASE = ["table", "--family", "path", "--h", "0", "--n-max", "0"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # fails the digit check at term 14286 (about 13 MB of terms
+            # held before the check kept none)
+            (["seq", "--kind", "hfib", "--h", "0", "--count", "14300"], 2),
+            (["table", "--family", "cycle", "--h", "2", "--n-max", "3000"], 0),
+        ],
+        ids=["hfib-over-limit", "cycle-table"],
+    )
+    def test_peaks_within_3_mb_of_a_one_row_table(self, argv, code):
+        assert _peak_kb(argv, code) - _peak_kb(self.BASE) < 3_000
+
+
+class _WriteLog:
+    """A stand-in for sys.stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv, digest, size",
+    [
+        (("export", "--family", "fib-cube", "--n", "16", "--what", "graph", "--format", "dot"),
+         "a7c2d2573aa31f1d5fa7d50a2947c05217de8ccd4fddddd1faf49f5a928a1a40", 577028),
+        (("seq", "--kind", "p", "--h", "1", "--count", "4000"),
+         "22b13ca26610df9cdd432d9a017ae6300ad4b4bc180e3749ea71c37028b72400", 1678593),
+    ],
+    ids=["export", "seq"],
+)
+def test_output_is_written_in_pipe_sized_blocks(monkeypatch, argv, digest, size):
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(list(argv)) == 0
+    data = "".join(log.writes).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+    assert len(log.writes) <= -(-size // 65_536) + 1
 
 
 class TestColdStart:

@@ -113,8 +113,9 @@ def test_missing_or_unknown_fields_raise_type_error():
 @pytest.mark.parametrize(
     "n, adj, message",
     [
-        (2, (2,), "adjacency length does not match vertex count"),
-        (-1, (), "adjacency length does not match vertex count"),
+        (2, (2,), "adjacency length 1 does not match vertex count 2"),
+        (0, (0,), "adjacency length 1 does not match vertex count 0"),
+        (-1, (), "n must be nonnegative (got n=-1)"),
         (2, (4, 1), "row 0 has bits beyond position 2"),
         (2, (1, 0), "self-loop at v_1"),
         (2, (2, 0), "asymmetric adjacency between v_1, v_2"),
