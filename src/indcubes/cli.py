@@ -6,6 +6,11 @@ invariant broke; stderr names the command and its inputs), 141 stdout closed
 before all output was written (`| head`), as a shell reports a SIGPIPE death.
 Output for fixed arguments is byte-identical across runs.
 
+`verify` runs its checks across the CPUs the process may use, in forked
+workers; the report's order and text are those of a run on one CPU. A lost
+worker is reported as a FAIL of each check it had taken, naming its exit
+status.
+
 `table`, `seq` and `export` write in blocks of about 64 KiB, so memory
 follows the model, not the text; an internal fault in a `table --per-k` past
 its first block leaves the blocks written.

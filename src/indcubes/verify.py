@@ -4,12 +4,21 @@ recurrences, and the cube constructions.
 Every check sweeps a parameter range and reports the first counterexample it
 finds, so a broken formula fails loudly with concrete inputs instead of a
 bare boolean. The `verify` CLI command and the test suite both run these.
+
+run_all runs the checks across the CPUs the process may use: in this process
+and in forked workers, one per further CPU. The report's order and text do
+not depend on it, so a run pinned to one CPU prints the same bytes. A worker
+that is lost (killed, or exiting nonzero) fails each check it had taken, and
+the counterexample names its exit status.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
+import os
+import sys
 from collections import Counter
 from typing import Iterable, Iterator
 
@@ -584,7 +593,8 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
     requested ones; each report line shows exactly the bounds its check swept.
 
     Negative bounds raise ValueError, and an n_max_oracle above the cube cap
-    raises CapacityError, before any check runs.
+    raises CapacityError, before any check runs. The checks run across the
+    usable CPUs (see _counterexamples); the report is in CHECKS order.
     """
     if min(h_max, n_max_formula, n_max_oracle) < 0:
         raise graphs._negative(h_max=h_max, n_max_formula=n_max_formula, n_max_oracle=n_max_oracle)
@@ -592,19 +602,93 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
         raise graphs.CapacityError(
             f"n_max_oracle={n_max_oracle} exceeds the cube cap of {cubes.MAX_CUBE_ORDER}"
         )
-    results = []
-    for name, bounds, fn in CHECKS:
-        h, n = bounds(h_max, n_max_formula, n_max_oracle)
-        try:
-            counterexample = fn(h, n)
-        except Exception as exc:  # a blown invariant inside a check is a failure
-            counterexample = f"exception: {exc}"
-        results.append(
-            CheckResult(
-                name=name,
-                params=f"h<={h}, n<={n}",
-                ok=counterexample is None,
-                counterexample=counterexample,
-            )
+    swept = [bounds(h_max, n_max_formula, n_max_oracle) for _, bounds, _ in CHECKS]
+    found = _counterexamples([(fn, h, n) for (_, _, fn), (h, n) in zip(CHECKS, swept)])
+    return VerificationReport(
+        CheckResult(
+            name=name,
+            params=f"h<={h}, n<={n}",
+            ok=counterexample is None,
+            counterexample=counterexample,
         )
-    return VerificationReport(results)
+        for (name, _, _), (h, n), counterexample in zip(CHECKS, swept, found)
+    )
+
+
+def _counterexamples(jobs: list) -> list:
+    """The counterexample of each job (check, h_max, n_max), in job order:
+    what check(h_max, n_max) returned, or `exception: ...` if it raised.
+
+    The jobs run in this process and in forked workers: one process per CPU
+    this process may use, at most one per job. Each process takes the next
+    job index, one byte at a time, from a shared pipe, so no job's cost is
+    assumed. A worker sends each index it takes, before running the job, then
+    the marshalled counterexample, on a pipe of its own, and leaves by
+    os._exit: it flushes none of this process's buffers and runs none of its
+    exit code. If a worker exits nonzero (minus the signal number, if killed)
+    or before it has reported all it took, each job it took fails, naming
+    that status; the others take the jobs it never took. Every worker is
+    waited for, on every path. With one usable CPU, no os.fork, or other
+    threads running (a fork copies only the calling thread), the jobs run
+    here, in order.
+    """
+
+    def run(i: int) -> str | None:
+        check, h, n = jobs[i]
+        try:
+            return check(h, n)
+        except Exception as exc:  # a blown invariant inside a check is a failure
+            return f"exception: {exc}"
+
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    threading = sys.modules.get("threading")
+    processes = min(len(usable), len(jobs))
+    if processes < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return [run(i) for i in range(len(jobs))]
+    found: list = [None] * len(jobs)
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(jobs))))  # at most 256 bytes, so one write into an empty pipe
+    os.close(feed)
+    workers = {}  # pid -> read end of the worker's report pipe
+    try:
+        for _ in range(processes - 1):
+            report, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: go on with the workers forked so far
+                os.close(report)
+                os.close(out)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    sink = os.fdopen(out, "wb")
+                    while index := os.read(tasks, 1):
+                        sink.write(index)
+                        sink.flush()  # the index is sent before its job runs
+                        sink.write(marshal.dumps(run(index[0])))
+                    sink.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            workers[pid] = report
+        while index := os.read(tasks, 1):
+            found[index[0]] = run(index[0])
+    finally:
+        os.read(tasks, 256)  # on an abnormal exit, leave the workers no job to start
+        os.close(tasks)
+        for pid, report in workers.items():
+            taken, short = [], False
+            with os.fdopen(report, "rb") as source:
+                try:
+                    while index := source.read(1):
+                        taken.append(index[0])
+                        found[index[0]] = marshal.load(source)
+                except EOFError:  # the worker ended inside a job
+                    short = True
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code or short:
+                for i in taken:
+                    found[i] = f"worker process lost: exit status {code}"
+    return found

@@ -699,6 +699,64 @@ class TestColdStart:
         assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
+#: Runs the CLI in a fresh process and exits with its code, or with a
+#: message if the CLI left a child process, running or unreaped.
+ORPHAN_SCRIPT = (
+    "import os, sys\n"
+    "from indcubes import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "try:\n"
+    "    os.waitpid(-1, os.WNOHANG)\n"
+    "except ChildProcessError:\n"
+    "    sys.exit(code)\n"
+    "sys.exit('a child process outlived the command')\n"
+)
+
+
+class TestVerifyWorkers:
+    """verify runs its checks in forked workers when more than one CPU is
+    usable; the report cannot tell."""
+
+    def _run(self, *args, script=ORPHAN_SCRIPT, cpus=None):
+        pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+        # without PYTHONUNBUFFERED, stdout to a pipe is block-buffered, as a user's is
+        env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, timeout=300, preexec_fn=pin,
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("args", [[], ["--json"]], ids=["text", "json"])
+    def test_report_pinned_to_one_cpu_is_byte_identical(self, args):
+        pinned = self._run("verify", *args, cpus={min(os.sched_getaffinity(0))})
+        free = self._run("verify", *args)
+        assert (pinned.returncode, pinned.stderr) == (free.returncode, free.stderr) == (0, b"")
+        assert pinned.stdout == free.stdout
+        if args:
+            assert json.loads(free.stdout)["overall"] is True
+        else:
+            assert len(free.stdout.splitlines()) == len(verify.CHECKS) + 1
+            assert free.stdout.endswith(b"\noverall: PASS\n")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_unflushed_output_before_verify_appears_once(self):
+        # stdout is a pipe, so the line waits in the buffer that a fork copies
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # fork a worker whatever the host\n"
+            "sys.stdout.write('written before verify\\n')\n"
+        ) + ORPHAN_SCRIPT
+        done = self._run(
+            "verify", "--h-max", "1", "--n-max-formula", "10", "--n-max-oracle", "4", script=script
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        lines = done.stdout.decode().splitlines()
+        assert lines[0] == "written before verify"
+        assert done.stdout.count(b"written before verify") == 1
+        assert len(lines) == len(verify.CHECKS) + 2 and lines[-1] == "overall: PASS"
+
+
 def _twin_cases():
     """(string route, Hasse route) export arguments that must print the same
     labelled graph: the cube families against the order-h diagrams."""

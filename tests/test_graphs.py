@@ -56,6 +56,22 @@ class TestVertexSubset:
         assert s.cardinality == 3
         assert 3 in s and 2 not in s and 6 not in s
 
+    def test_membership_at_both_ends_and_past_them(self):
+        # vertices 0 and n + 1 are never members; 1 and n are bits 0 and n - 1
+        for n in range(7):
+            for bits in range(1 << n):
+                s = VertexSubset(bits, n)
+                want = [False, *(bool(bits >> i & 1) for i in range(n)), False]
+                assert [v in s for v in range(n + 2)] == want, (bits, n)
+        full = VertexSubset((1 << 64) - 1, 64)
+        assert [v in full for v in (0, 1, 64, 65)] == [False, True, True, False]
+
+    def test_width_zero_is_accepted(self):
+        s = VertexSubset(0, 0)
+        assert (s.bits, s.n) == (0, 0)
+        assert s.to_string() == "" and s.cardinality == 0
+        assert 0 not in s and 1 not in s
+
     def test_from_string_matches_the_bitwise_parse(self):
         for width in range(11):
             for bits in range(1 << width):
@@ -321,6 +337,10 @@ class TestEnumeration:
             want = reference_masks(g)
             assert _independent_masks(g) == want
             assert [s.bits for s in enumerate_independent(g)] == want
+
+    def test_capacity_admits_64_vertices(self):
+        # the complete graph K_64: the empty set and the 64 singletons
+        assert _independent_masks(power_path(64, 63)) == [0] + [1 << v for v in range(64)]
 
     def test_capacity_checked_before_work(self):
         g = SimpleGraph(65, (0,) * 65)

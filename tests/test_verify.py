@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import signal
+import threading
+import time
 import types
 
 import pytest
@@ -38,21 +42,53 @@ DEFAULT_REPORT = [
 ]
 
 
-def _recording_checks(monkeypatch):
-    """Replace every check with a stub that records the (h_max, n_max) it
-    was called with and passes; returns check name -> recorded bounds."""
-    calls = {}
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    """run_all may fork workers; none may outlive the test, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _recording_checks(monkeypatch, tmp_path, in_worker=None, in_parent=lambda name: None):
+    """Replace every check with a stub that appends its name, the (h_max,
+    n_max) it was called with and its process id to a file under tmp_path,
+    which every process of run_all can reach, then passes. If in_worker is
+    given, a stub run in a forked worker returns in_worker(name), and a stub
+    run in the calling process waits until a worker has recorded a call, so
+    that the workers take checks, then returns in_parent(name). Returns a
+    reader of the calls so far, as (name, h_max, n_max, pid) tuples in call
+    order."""
+    log = tmp_path / "calls"
+    log.touch()
+    parent = os.getpid()
+
+    def recorded():
+        return [
+            (name, int(h), int(n), int(pid))
+            for name, h, n, pid in map(str.split, log.read_text().splitlines())
+        ]
 
     def stub(name):
         def record(h_max, n_max):
-            calls[name] = (h_max, n_max)
+            with open(log, "a") as f:
+                f.write(f"{name} {h_max} {n_max} {os.getpid()}\n")
+            if in_worker is None:
+                return None
+            if os.getpid() != parent:
+                return in_worker(name)
+            deadline = time.monotonic() + 60
+            while all(pid == parent for *_, pid in recorded()):
+                assert time.monotonic() < deadline, "no worker took a check"
+                time.sleep(0.005)
+            return in_parent(name)
 
         return record
 
     monkeypatch.setattr(
         verify, "CHECKS", tuple((name, bounds, stub(name)) for name, bounds, _ in verify.CHECKS)
     )
-    return calls
+    return recorded
 
 
 def test_small_sweep_passes():
@@ -160,30 +196,188 @@ def test_default_ranges_pass():
     assert report.render_text().split("\n") == DEFAULT_REPORT
 
 
-def test_params_are_the_bounds_each_check_swept(monkeypatch):
-    calls = _recording_checks(monkeypatch)
+def test_params_are_the_bounds_each_check_swept(monkeypatch, tmp_path):
+    recorded = _recording_checks(monkeypatch, tmp_path)
     report = verify.run_all(9, 70, 16)
-    assert len(calls) == len(report.checks) == len(verify.CHECKS)
+    calls = {name: (h, n) for name, h, n, _ in recorded()}
+    assert len(recorded()) == len(calls) == len(report.checks) == len(verify.CHECKS)
     for c in report.checks:
         h, n = calls[c.name]
         assert c.params == f"h<={h}, n<={n}"
 
 
 @pytest.mark.parametrize("bounds", [(-1, -1, -1), (-1, 200, 14), (4, -1, 14), (4, 200, -1)])
-def test_negative_bounds_rejected_before_any_check(monkeypatch, bounds):
-    calls = _recording_checks(monkeypatch)
+def test_negative_bounds_rejected_before_any_check(monkeypatch, tmp_path, bounds):
+    recorded = _recording_checks(monkeypatch, tmp_path)
     with pytest.raises(ValueError):
         verify.run_all(*bounds)
-    assert calls == {}
+    assert recorded() == []
 
 
-def test_oracle_bound_over_cube_cap_rejected_before_any_check(monkeypatch):
-    calls = _recording_checks(monkeypatch)
+def test_oracle_bound_over_cube_cap_rejected_before_any_check(monkeypatch, tmp_path):
+    recorded = _recording_checks(monkeypatch, tmp_path)
     with pytest.raises(graphs.CapacityError, match="cap of 20"):
         verify.run_all(4, 200, 21)
-    assert calls == {}
+    assert recorded() == []
     verify.run_all(4, 200, 20)
-    assert len(calls) == len(verify.CHECKS)
+    assert len(recorded()) == len({name for name, *_ in recorded()}) == len(verify.CHECKS)
+
+
+def _two_cpus(monkeypatch):
+    """Make run_all see two usable CPUs, so that it forks one worker whatever
+    the host has; skip where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _expected_report(failed):
+    """DEFAULT_REPORT with the checks in `failed` (name -> counterexample) failing."""
+    lines = []
+    for (name, _, _), line in zip(verify.CHECKS, DEFAULT_REPORT):
+        if name in failed:
+            line = f"FAIL{line[4:]}  counterexample: {failed[name]}"
+        lines.append(line)
+    return lines + [f"overall: {'FAIL' if failed else 'PASS'}"]
+
+
+def _raise(exc):
+    raise exc
+
+
+def _taken_by_workers(recorded):
+    """The names of the checks run in a worker, once it is asserted that
+    every check was run exactly once."""
+    calls = recorded()
+    names = [name for name, *_ in calls]
+    assert sorted(names) == sorted(name for name, _, _ in verify.CHECKS)
+    return {name for name, *_, pid in calls if pid != os.getpid()}
+
+
+def test_a_check_raising_in_a_worker_reports_its_own_exception(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+
+    def boom(name):
+        raise RuntimeError(f"{name} blew up")
+
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=boom)
+    report = verify.run_all()
+    in_worker = _taken_by_workers(recorded)
+    assert in_worker
+    failed = {name: f"exception: {name} blew up" for name in in_worker}
+    assert report.render_text().splitlines() == _expected_report(failed)
+
+
+@pytest.mark.parametrize(
+    "end, status",
+    [
+        (lambda: os._exit(9), 9),
+        (lambda: os._exit(0), 0),  # a clean exit before reporting is a loss too
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ],
+    ids=["exit-9", "exit-0", "sigkill"],
+)
+def test_a_lost_worker_fails_only_the_checks_it_took(monkeypatch, tmp_path, capsys, end, status):
+    _two_cpus(monkeypatch)
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=lambda name: end())
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the one worker ends inside the first check it takes; this process
+    # takes every other check, and reports each
+    in_worker = _taken_by_workers(recorded)
+    assert len(in_worker) == 1
+    failed = {name: f"worker process lost: exit status {status}" for name in in_worker}
+    assert lines == _expected_report(failed)
+
+
+def test_a_worker_that_reports_all_it_took_but_exits_nonzero_fails_them_all(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    leave = os._exit
+
+    def exit_7_when_done(name):  # rebinds os._exit in the worker's copy of os only
+        os._exit = lambda code: leave(7)
+
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=exit_7_when_done)
+    report = verify.run_all()
+    in_worker = _taken_by_workers(recorded)
+    assert in_worker
+    failed = {name: "worker process lost: exit status 7" for name in in_worker}
+    assert report.render_text().splitlines() == _expected_report(failed)
+
+
+def test_every_check_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=lambda name: None)
+    report = verify.run_all()
+    assert _taken_by_workers(recorded)  # and each check exactly once
+    assert report.render_text().splitlines() == DEFAULT_REPORT
+
+
+def test_an_interrupted_run_starts_no_more_checks_and_waits_for_its_workers(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    interrupted = tmp_path / "interrupted"
+
+    def interrupt(name):
+        interrupted.touch()
+        raise KeyboardInterrupt
+
+    def finish_after_the_interrupt(name):
+        deadline = time.monotonic() + 60
+        while not interrupted.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # time for this process to empty the job pipe
+
+    recorded = _recording_checks(
+        monkeypatch, tmp_path, in_worker=finish_after_the_interrupt, in_parent=interrupt
+    )
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all()
+    # this process's first check and the worker's, which it finishes; the
+    # worker is reaped (no_process_left_behind)
+    assert len(recorded()) == 2
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(4, 27, 3), (64, 3, 2), (2, 1, 0)])
+def test_one_process_per_usable_cpu_and_at_most_one_per_check(monkeypatch, cpus, jobs, workers):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    checks = [(lambda h, n: f"job {h} {n}", i, i) for i in range(jobs)]
+    assert verify._counterexamples(checks) == [f"job {i} {i}" for i in range(jobs)]
+    assert len(forks) == workers
+
+
+@pytest.mark.parametrize("setting", ["one-cpu", "no-fork", "fork-fails", "threads"])
+def test_checks_run_in_this_process_when_forking_is_not_safe_useful_or_possible(
+    monkeypatch, tmp_path, setting
+):
+    _two_cpus(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if setting == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if setting == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif setting == "fork-fails":  # as when the process limit is reached
+        monkeypatch.setattr(os, "fork", lambda: _raise(BlockingIOError(11, "no process to spare")))
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    if setting == "threads":  # a fork would copy only this thread
+        other.start()
+    recorded = _recording_checks(monkeypatch, tmp_path)
+    try:
+        report = verify.run_all()
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert report.render_text().splitlines() == DEFAULT_REPORT
+    # in report order, one after another
+    assert [name for name, *_ in recorded()] == [name for name, _, _ in verify.CHECKS]
 
 
 def test_report_shape():
