@@ -627,10 +627,11 @@ def _counterexamples(jobs: list) -> list:
     os._exit: it flushes none of this process's buffers and runs none of its
     exit code. If a worker exits nonzero (minus the signal number, if killed)
     or before it has reported all it took, each job it took fails, naming
-    that status; the others take the jobs it never took. Every worker is
-    waited for, on every path. With one usable CPU, no os.fork, or other
-    threads running (a fork copies only the calling thread), the jobs run
-    here, in order.
+    that status; the others take the jobs it never took. A job whose index
+    a lost worker took but never sent fails too, naming a lost worker's
+    status. Every worker is waited for, on every path. With one usable CPU,
+    no os.fork, or other threads running (a fork copies only the calling
+    thread), no worker is forked and the jobs run here, in order.
     """
 
     def run(i: int) -> str | None:
@@ -643,9 +644,10 @@ def _counterexamples(jobs: list) -> list:
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     threading = sys.modules.get("threading")
     processes = min(len(usable), len(jobs))
-    if processes < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return [run(i) for i in range(len(jobs))]
-    found: list = [None] * len(jobs)
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        processes = 1
+    unsent = object()  # None is a pass, so a job no process reported must not start as None
+    found: list = [unsent] * len(jobs)
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(len(jobs))))  # at most 256 bytes, so one write into an empty pipe
     os.close(feed)
@@ -689,6 +691,8 @@ def _counterexamples(jobs: list) -> list:
                     short = True
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code or short:
+                lost = f"worker process lost: exit status {code}"
                 for i in taken:
-                    found[i] = f"worker process lost: exit status {code}"
-    return found
+                    found[i] = lost
+    # only a lost worker leaves a job unsent, so `lost` is bound when one is
+    return [lost if counterexample is unsent else counterexample for counterexample in found]

@@ -314,28 +314,82 @@ def test_every_check_runs_once_with_more_workers_than_cores(monkeypatch, tmp_pat
     assert report.render_text().splitlines() == DEFAULT_REPORT
 
 
+def _wait_for(path):
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.005)
+
+
 def test_an_interrupted_run_starts_no_more_checks_and_waits_for_its_workers(monkeypatch, tmp_path):
     _two_cpus(monkeypatch)
-    interrupted = tmp_path / "interrupted"
+    drained = tmp_path / "drained"
+    parent = os.getpid()
+    read = os.read
+
+    def read_and_mark_the_drain(fd, n):
+        data = read(fd, n)
+        if os.getpid() == parent and n > 1:  # the only wide read is of the left-over jobs
+            drained.touch()
+        return data
+
+    monkeypatch.setattr(os, "read", read_and_mark_the_drain)
 
     def interrupt(name):
-        interrupted.touch()
         raise KeyboardInterrupt
 
-    def finish_after_the_interrupt(name):
-        deadline = time.monotonic() + 60
-        while not interrupted.exists() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        time.sleep(0.2)  # time for this process to empty the job pipe
+    def finish_after_the_drain(name):
+        _wait_for(drained)
 
     recorded = _recording_checks(
-        monkeypatch, tmp_path, in_worker=finish_after_the_interrupt, in_parent=interrupt
+        monkeypatch, tmp_path, in_worker=finish_after_the_drain, in_parent=interrupt
     )
     with pytest.raises(KeyboardInterrupt):
         verify.run_all()
     # this process's first check and the worker's, which it finishes; the
     # worker is reaped (no_process_left_behind)
     assert len(recorded()) == 2
+
+
+def test_a_worker_lost_before_it_sends_a_taken_index_fails_that_check(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    recorded = _recording_checks(monkeypatch, tmp_path)
+    taken = tmp_path / "taken"
+    parent = os.getpid()
+    fdopen = os.fdopen
+
+    class BrokenSink:  # the worker's report pipe, failing on the first index it sends
+        def write(self, data):
+            taken.touch()
+            raise OSError("report pipe broken")
+
+    def fdopen_broken_in_workers(fd, mode="r", *args, **kwargs):
+        if os.getpid() != parent and mode == "wb":
+            return BrokenSink()
+        return fdopen(fd, mode, *args, **kwargs)
+
+    def after_the_worker_took_one(check):
+        def run(h_max, n_max):
+            _wait_for(taken)
+            return check(h_max, n_max)
+
+        return run
+
+    monkeypatch.setattr(os, "fdopen", fdopen_broken_in_workers)
+    monkeypatch.setattr(
+        verify,
+        "CHECKS",
+        tuple((name, bounds, after_the_worker_took_one(fn)) for name, bounds, fn in verify.CHECKS),
+    )
+    report = verify.run_all()
+    # the worker took one check and died (exit status 1) before sending its
+    # index; this process ran all the others
+    calls = recorded()
+    assert {pid for *_, pid in calls} == {parent}
+    lost = {name for name, _, _ in verify.CHECKS} - {name for name, *_ in calls}
+    assert len(lost) == 1 and len(calls) == len(verify.CHECKS) - 1
+    failed = {name: "worker process lost: exit status 1" for name in lost}
+    assert report.render_text().splitlines() == _expected_report(failed)
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [(4, 27, 3), (64, 3, 2), (2, 1, 0)])
