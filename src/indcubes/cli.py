@@ -7,9 +7,9 @@ before all output was written (`| head`), as a shell reports a SIGPIPE death.
 Output for fixed arguments is byte-identical across runs.
 
 `verify` runs its checks across the CPUs the process may use, in forked
-workers; the report's order and text are those of a run on one CPU. A lost
-worker is reported as a FAIL of each check it had taken, naming its exit
-status.
+workers, and prints the report of a run on one CPU. Each check a lost worker
+ran FAILs, naming the worker's exit status (with several lost, that of the
+last one forked).
 
 `table`, `seq` and `export` write in blocks of about 64 KiB, so memory
 follows the model, not the text; an internal fault in a `table --per-k` past
@@ -217,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--count", type=_nonneg, required=True)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check suite")
-    p_verify.add_argument("--h-max", type=_nonneg, default=4)
-    p_verify.add_argument("--n-max-formula", type=_nonneg, default=200)
-    p_verify.add_argument("--n-max-oracle", type=_nonneg, default=14)
+    for flag in ("--h-max", "--n-max-formula", "--n-max-oracle"):  # run_all holds the defaults
+        p_verify.add_argument(flag, type=_nonneg, default=argparse.SUPPRESS)
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p_export = sub.add_parser("export", help="emit a graph or diagram as DOT or JSON")
@@ -276,7 +275,8 @@ def _run(argv: Sequence[str] | None) -> int:
         elif args.command == "verify":
             # Every call is a fresh process: only the commands that use them import verify and json.
             from . import verify
-            report = verify.run_all(args.h_max, args.n_max_formula, args.n_max_oracle)
+            bounds = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
+            report = verify.run_all(**bounds)
             if args.json:
                 import json
                 print(json.dumps(report.to_dict(), indent=2))
@@ -286,7 +286,7 @@ def _run(argv: Sequence[str] | None) -> int:
         else:
             _validate_export(parser, args)
             render_export(args)
-    except (graphs.CapacityError, ValueError) as exc:
+    except ValueError as exc:  # graphs.CapacityError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

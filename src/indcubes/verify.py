@@ -5,11 +5,10 @@ Every check sweeps a parameter range and reports the first counterexample it
 finds, so a broken formula fails loudly with concrete inputs instead of a
 bare boolean. The `verify` CLI command and the test suite both run these.
 
-run_all runs the checks across the CPUs the process may use: in this process
-and in forked workers, one per further CPU. The report's order and text do
-not depend on it, so a run pinned to one CPU prints the same bytes. A worker
-that is lost (killed, or exiting nonzero) fails each check it had taken, and
-the counterexample names its exit status.
+run_all runs the checks across the CPUs the process may use, in forked
+workers; a run pinned to one CPU prints the same report. Each check a lost
+worker ran fails, naming the worker's exit status (with several lost, that
+of the last one forked).
 """
 
 from __future__ import annotations
@@ -593,8 +592,8 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
     requested ones; each report line shows exactly the bounds its check swept.
 
     Negative bounds raise ValueError, and an n_max_oracle above the cube cap
-    raises CapacityError, before any check runs. The checks run across the
-    usable CPUs (see _counterexamples); the report is in CHECKS order.
+    raises CapacityError, before any check runs. The report is in CHECKS
+    order, however many CPUs run the checks (see _counterexamples).
     """
     if min(h_max, n_max_formula, n_max_oracle) < 0:
         raise graphs._negative(h_max=h_max, n_max_formula=n_max_formula, n_max_oracle=n_max_oracle)
@@ -620,38 +619,31 @@ def _counterexamples(jobs: list) -> list:
     what check(h_max, n_max) returned, or `exception: ...` if it raised.
 
     The jobs run in this process and in forked workers: one process per CPU
-    this process may use, at most one per job. Each process takes the next
-    job index, one byte at a time, from a shared pipe, so no job's cost is
-    assumed. A worker sends each index it takes, before running the job, then
-    the marshalled counterexample, on a pipe of its own, and leaves by
-    os._exit: it flushes none of this process's buffers and runs none of its
-    exit code. If a worker exits nonzero (minus the signal number, if killed)
-    or before it has reported all it took, each job it took fails, naming
-    that status; the others take the jobs it never took. A job whose index
-    a lost worker took but never sent fails too, naming a lost worker's
-    status. Every worker is waited for, on every path. With one usable CPU,
-    no os.fork, or other threads running (a fork copies only the calling
-    thread), no worker is forked and the jobs run here, in order.
+    this process may use, at most one per job. Every worker is forked before
+    any job runs, so each process starts with nothing found; then each runs
+    the same loop, taking the next job index, one byte at a time, from a
+    shared pipe, so no job's cost is assumed. A worker whose pipe runs dry
+    writes what it found, marshalled, once on a pipe of its own, and leaves
+    by os._exit: it flushes none of this process's buffers and runs none of
+    its exit code. This process merges the results of each worker that
+    exited 0 and sent them. A job missing from the merge was run by a lost
+    worker (killed, exiting nonzero, or exiting before it sent), and fails
+    naming that worker's exit status (minus the signal number, if killed);
+    if several were lost, the status of the last one forked. Every worker
+    is waited for, on every path. With one usable CPU, no os.fork, or other
+    threads running (a fork copies only the calling thread), no worker is
+    forked and the jobs run here, in order.
     """
-
-    def run(i: int) -> str | None:
-        check, h, n = jobs[i]
-        try:
-            return check(h, n)
-        except Exception as exc:  # a blown invariant inside a check is a failure
-            return f"exception: {exc}"
-
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     threading = sys.modules.get("threading")
     processes = min(len(usable), len(jobs))
     if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         processes = 1
-    unsent = object()  # None is a pass, so a job no process reported must not start as None
-    found: list = [unsent] * len(jobs)
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(len(jobs))))  # at most 256 bytes, so one write into an empty pipe
     os.close(feed)
-    workers = {}  # pid -> read end of the worker's report pipe
+    found = {}  # job index -> counterexample
+    workers = {}  # pid -> read end of the worker's report pipe; None in a worker
     try:
         for _ in range(processes - 1):
             report, out = os.pipe()
@@ -662,37 +654,32 @@ def _counterexamples(jobs: list) -> list:
                 os.close(out)
                 break
             if pid == 0:
-                code = 1
-                try:
-                    sink = os.fdopen(out, "wb")
-                    while index := os.read(tasks, 1):
-                        sink.write(index)
-                        sink.flush()  # the index is sent before its job runs
-                        sink.write(marshal.dumps(run(index[0])))
-                    sink.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
+                workers = None
+                break
             os.close(out)
             workers[pid] = report
         while index := os.read(tasks, 1):
-            found[index[0]] = run(index[0])
+            check, h, n = jobs[index[0]]
+            try:
+                found[index[0]] = check(h, n)
+            except Exception as exc:  # a blown invariant inside a check is a failure
+                found[index[0]] = f"exception: {exc}"
+        if workers is None:
+            with os.fdopen(out, "wb") as sink:
+                sink.write(marshal.dumps(found))
+            os._exit(0)
     finally:
-        os.read(tasks, 256)  # on an abnormal exit, leave the workers no job to start
+        if workers is None:  # a worker that failed before its report was written
+            os._exit(1)
+        os.read(tasks, len(jobs))  # on an abnormal exit, leave the workers no job to start
         os.close(tasks)
         for pid, report in workers.items():
-            taken, short = [], False
             with os.fdopen(report, "rb") as source:
-                try:
-                    while index := source.read(1):
-                        taken.append(index[0])
-                        found[index[0]] = marshal.load(source)
-                except EOFError:  # the worker ended inside a job
-                    short = True
+                sent = source.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code or short:
+            if code == 0 and sent:
+                found.update(marshal.loads(sent))
+            else:
                 lost = f"worker process lost: exit status {code}"
-                for i in taken:
-                    found[i] = lost
-    # only a lost worker leaves a job unsent, so `lost` is bound when one is
-    return [lost if counterexample is unsent else counterexample for counterexample in found]
+    # only a lost worker leaves a job out of the merge, so `lost` is bound when one is
+    return [found[i] if i in found else lost for i in range(len(jobs))]

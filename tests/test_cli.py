@@ -323,6 +323,11 @@ class TestVerifyCommand:
         assert report.overall is not broken and code == int(broken)
         assert out == json.dumps({"overall": report.overall, "checks": checks}, indent=2) + "\n"
 
+    def test_bounds_not_given_take_run_alls_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--h-max", "2")
+        report = verify.run_all(h_max=2)
+        assert code == 0 and out == report.render_text() + "\n"
+
     def test_oracle_bound_over_cube_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max-oracle", "21")
         assert code == 2

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import os
@@ -351,16 +352,14 @@ def test_an_interrupted_run_starts_no_more_checks_and_waits_for_its_workers(monk
     assert len(recorded()) == 2
 
 
-def test_a_worker_lost_before_it_sends_a_taken_index_fails_that_check(monkeypatch, tmp_path):
+def test_a_worker_whose_report_write_fails_fails_every_check_it_ran(monkeypatch, tmp_path):
     _two_cpus(monkeypatch)
-    recorded = _recording_checks(monkeypatch, tmp_path)
-    taken = tmp_path / "taken"
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=lambda name: None)
     parent = os.getpid()
     fdopen = os.fdopen
 
-    class BrokenSink:  # the worker's report pipe, failing on the first index it sends
+    class BrokenSink(io.BytesIO):  # the worker's report pipe, failing on its one write
         def write(self, data):
-            taken.touch()
             raise OSError("report pipe broken")
 
     def fdopen_broken_in_workers(fd, mode="r", *args, **kwargs):
@@ -368,27 +367,43 @@ def test_a_worker_lost_before_it_sends_a_taken_index_fails_that_check(monkeypatc
             return BrokenSink()
         return fdopen(fd, mode, *args, **kwargs)
 
-    def after_the_worker_took_one(check):
-        def run(h_max, n_max):
-            _wait_for(taken)
-            return check(h_max, n_max)
-
-        return run
-
     monkeypatch.setattr(os, "fdopen", fdopen_broken_in_workers)
-    monkeypatch.setattr(
-        verify,
-        "CHECKS",
-        tuple((name, bounds, after_the_worker_took_one(fn)) for name, bounds, fn in verify.CHECKS),
-    )
     report = verify.run_all()
-    # the worker took one check and died (exit status 1) before sending its
-    # index; this process ran all the others
-    calls = recorded()
-    assert {pid for *_, pid in calls} == {parent}
-    lost = {name for name, _, _ in verify.CHECKS} - {name for name, *_ in calls}
-    assert len(lost) == 1 and len(calls) == len(verify.CHECKS) - 1
-    failed = {name: "worker process lost: exit status 1" for name in lost}
+    # the worker ran its checks, then exited 1 without reporting them
+    in_worker = _taken_by_workers(recorded)
+    assert in_worker
+    failed = {name: "worker process lost: exit status 1" for name in in_worker}
+    assert report.render_text().splitlines() == _expected_report(failed)
+
+
+def test_when_every_worker_is_lost_exactly_the_checks_they_ran_fail(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=lambda name: os._exit(5))
+    report = verify.run_all()
+    in_worker = _taken_by_workers(recorded)
+    # each worker ends inside the first check it takes
+    assert len(in_worker) == len({pid for *_, pid in recorded() if pid != os.getpid()}) >= 1
+    failed = {name: "worker process lost: exit status 5" for name in in_worker}
+    assert report.render_text().splitlines() == _expected_report(failed)
+
+
+def test_with_several_workers_lost_their_checks_name_the_last_one_forked(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    forked = []  # in a worker, len(forked) is its place in the fork order, from 1
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(fork()) or forked[-1])
+
+    def exit_with_10_plus_fork_place(name):
+        os._exit(10 + len(forked))
+
+    recorded = _recording_checks(monkeypatch, tmp_path, in_worker=exit_with_10_plus_fork_place)
+    report = verify.run_all()
+    in_worker = _taken_by_workers(recorded)
+    lost = {pid for *_, pid in recorded() if pid != os.getpid()}
+    status = 10 + max(forked.index(pid) + 1 for pid in lost)
+    failed = {name: f"worker process lost: exit status {status}" for name in in_worker}
     assert report.render_text().splitlines() == _expected_report(failed)
 
 
