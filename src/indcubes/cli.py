@@ -6,14 +6,19 @@ invariant broke; stderr names the command and its inputs), 141 stdout closed
 before all output was written (`| head`), as a shell reports a SIGPIPE death.
 Output for fixed arguments is byte-identical across runs.
 
+Every call is a fresh process, so each command imports only the modules it
+runs: `counting` for `table` and `seq`, `cubes` and `graphs` for `export`,
+`verify` (which imports all three) for `verify`, and `json` for
+`verify --json` alone.
+
 `verify` runs its checks across the CPUs the process may use, in forked
 workers, and prints the report of a run on one CPU. Each check a lost worker
 ran FAILs, naming the worker's exit status (with several lost, that of the
 last one forked).
 
-`table`, `seq` and `export` write in blocks of about 64 KiB, so memory
-follows the model, not the text; an internal fault in a `table --per-k` past
-its first block leaves the blocks written.
+`table`, `seq` and `export` write in blocks of about 64 KiB, joined in C
+from their pieces, so memory follows the model, not the text; an internal
+fault in a `table --per-k` past its first block leaves the blocks written.
 
 `table` and `seq` honour Python's int-to-str digit limit (4,300 by default).
 A first pass checks every value against it and holds none, so a command with
@@ -26,12 +31,12 @@ lifts it and skips the check.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
-
-from . import counting, cubes, graphs
 
 
 def _nonneg(text: str) -> int:
@@ -53,22 +58,34 @@ def _parse_patterns(csv: str) -> list[str]:
 
 #: Characters gathered before each write to stdout: a Linux pipe's capacity.
 _BLOCK = 1 << 16
+#: The most pieces drawn and joined at once.
+_BATCH = 256
 
 
 def _write(pieces: Iterable[str]) -> None:
     """Write the concatenated pieces to sys.stdout, as it is at the call, in
     blocks of at least _BLOCK characters (the last may be shorter), so the
-    text is never held whole and no write is made per row or per node."""
+    text is never held whole and no write is made per row or per node.
+
+    Pieces are drawn and joined in batches, by C code, so there is no Python
+    step per piece. A batch is as many pieces as would fill the rest of the
+    block at the mean length of the last batch, 1 to _BATCH of them: with
+    pieces of a steady length, however long, a block overshoots by less
+    than one."""
     write = sys.stdout.write
+    pieces = iter(pieces)
     block: list[str] = []
     size = 0
-    for piece in pieces:
-        block.append(piece)
-        size += len(piece)
+    take = 1
+    while batch := list(itertools.islice(pieces, take)):  # a batch of "" still counts
+        text = "".join(batch)
+        block.append(text)
+        size += len(text)
         if size >= _BLOCK:
             write("".join(block))
             block.clear()
             size = 0
+        take = min(_BATCH, max(1, (_BLOCK - size) * len(batch) // (len(text) or 1)))
     if size:
         write("".join(block))
 
@@ -115,6 +132,8 @@ def render_table(family: str, h: int, n_max: int, per_k: bool) -> None:
     optional per-size columns. A per-size count never exceeds its row's
     total, so checking n, total and edges covers the whole table, and no
     per-size count is computed for a table that fails the check."""
+    from . import counting
+
     count_k = counting.path_count_k if family == "path" else counting.cycle_count_k
     k_cols = counting._max_size(n_max, h) + 1 if per_k else 0
     header = ["n", "total", "edges"] + [f"k{k}" for k in range(k_cols)]
@@ -129,6 +148,8 @@ def render_table(family: str, h: int, n_max: int, per_k: bool) -> None:
 
 def render_seq(kind: str, h: int, count: int) -> None:
     """Write one decimal term per line; all kinds start at index 1."""
+    from . import counting
+
     family = "path" if kind in ("p", "hedges") else "cycle"
     column = 0 if kind in ("p", "q") else 1
 
@@ -143,6 +164,8 @@ def render_seq(kind: str, h: int, count: int) -> None:
 def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]]:
     """Labels plus up-lists for the requested object, built once from integer
     masks: ups[i] holds, ascending, the 0-based j > i joined to node i."""
+    from . import cubes, graphs
+
     family = args.family
     n = args.n
     if family in ("path", "cycle"):
@@ -160,39 +183,66 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]
         else:  # gen-cube
             masks = cubes._avoiding_masks(n, args.patterns, args.circular)
         ups = cubes._hamming_pairs(masks)
-    return [graphs._mask_string(m, n) for m in masks], ups
+    return graphs._mask_strings(masks, n), ups
 
 
-def _edge_runs(heads: Iterable[str], ups: list[list[int]], tails: list[str], sep: str) -> Iterator[str]:
+def _edge_runs(heads: Iterable[str], ups: list[list[int]], tails: list[str]) -> Iterator[str]:
     """Each node's edges as one string, for the nodes that have any: the
-    node's head before the tail of each j in its up-list, edges joined by
-    sep. Heads (drawn lazily) and tails are made once per label, so no
-    string is built per edge."""
-    return (head + (sep + head).join([tails[j] for j in js]) for head, js in zip(heads, ups) if js)
+    node's head before the tail of each j in its up-list. Heads (drawn
+    lazily) and tails are made once per label, so no string is built per
+    edge. A node's tails come from one C-level itemgetter call; a one-entry
+    up-list is indexed instead, as itemgetter would return the bare tail."""
+    return (
+        head + (head.join(itemgetter(*js)(tails)) if len(js) > 1 else tails[js[0]])
+        for head, js in zip(heads, ups)
+        if js
+    )
+
+
+def _json_items(items: Iterator[str]) -> Iterator[str]:
+    """The body of a JSON list from its items each led by ", ": the first
+    item's separator is dropped."""
+    return itertools.chain((next(items, ", ")[2:],), items)
 
 
 def render_export(args: argparse.Namespace) -> None:
-    _write(_export_pieces(args))
+    """Build and write the export with the cyclic garbage collector off: the
+    model is lists of ints and strings, which form no reference cycles, so
+    its passes would only re-scan the model as it grows."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _write(_export_pieces(args))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _export_pieces(args: argparse.Namespace) -> Iterator[str]:
+    """The export's text as a chain of lazy pieces for the writer to draw;
+    besides the model, only one tail string per label is held."""
     labels, ups = _export_object(args)
+    count = len(labels)
     if args.format == "json":
-        import json
-        # json.dumps's default layout for the 1-based edges [i, j]
-        heads = (f"[{i}, " for i in range(1, len(labels) + 1))
-        tails = [f"{j}]" for j in range(1, len(labels) + 1)]
-        yield f'{{"n": {len(labels)}, "labels": {json.dumps(labels)}, "edges": ['
-        runs = _edge_runs(heads, ups, tails, ", ")
-        yield next(runs, "")
-        yield from (", " + run for run in runs)
-        yield "]}\n"
-    else:
-        yield "graph G {\n"
-        yield from (f'  "{lab}";\n' for lab in labels)
-        heads = (f'  "{lab}" -- "' for lab in labels)
-        yield from _edge_runs(heads, ups, [f'{lab}";\n' for lab in labels], "")
-        yield "}\n"
+        # json.dumps's default layout; the labels are digit strings, which
+        # need no escapes, and the edges are 1-based pairs [i, j]
+        heads = (f", [{i}, " for i in range(1, count + 1))
+        tails = [f"{j}]" for j in range(1, count + 1)]
+        return itertools.chain(
+            (f'{{"n": {count}, "labels": [',),
+            _json_items(f', "{lab}"' for lab in labels),
+            ('], "edges": [',),
+            _json_items(_edge_runs(heads, ups, tails)),
+            ("]}\n",),
+        )
+    heads = (f'  "{lab}" -- "' for lab in labels)
+    tails = [f'{lab}";\n' for lab in labels]
+    return itertools.chain(
+        ("graph G {\n",),
+        (f'  "{lab}";\n' for lab in labels),
+        _edge_runs(heads, ups, tails),
+        ("}\n",),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +323,7 @@ def _run(argv: Sequence[str] | None) -> int:
         elif args.command == "seq":
             render_seq(args.kind, args.h, args.count)
         elif args.command == "verify":
-            # Every call is a fresh process: only the commands that use them import verify and json.
+            # only this command imports verify, and only --json imports json
             from . import verify
             bounds = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
             report = verify.run_all(**bounds)

@@ -4,6 +4,7 @@ independent-subset enumerator used to cross-check every counting formula."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 #: Hard cap for bitmask-backed graphs; the enumerator is only meant for desk
@@ -267,11 +268,20 @@ def _independent_masks(g: SimpleGraph) -> list[int]:
     return masks
 
 
+#: Reads bin() of a mask with a one above bit n - 1 backwards: bit 0 first,
+#: the leading zeros kept, and that one dropped with the "0b".
+_BITS_FIRST = slice(None, 2, -1)
+
+
 def _mask_string(bits: int, n: int) -> str:
-    """The binary string b_1...b_n of a width-n mask: bit 0 first. A one
-    above bit n - 1 keeps the leading zeros, and the slice drops it with
-    the "0b"."""
-    return bin(bits | 1 << n)[:2:-1]
+    """The binary string b_1...b_n of a width-n mask: bit 0 first."""
+    return bin(bits | 1 << n)[_BITS_FIRST]
+
+
+def _mask_strings(masks: Iterable[int], n: int) -> list[str]:
+    """_mask_string of each width-n mask, in one pass of C-level maps: no
+    Python call or bytecode per mask."""
+    return list(map(itemgetter(_BITS_FIRST), map(bin, map((1 << n).__or__, masks))))
 
 
 def contains_pattern(s: VertexSubset, pattern: str, circular: bool = False) -> bool:

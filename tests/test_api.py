@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -36,6 +39,46 @@ def test_star_import_is_every_public_import_and_no_module():
     assert not {"PosetDiagram", "diagram_as_graph", "same_labeled_graph"} & namespace.keys()
     assert not {"HFibSequence", "hamming"} & namespace.keys()
     assert len(namespace) == 36
+
+
+SUBMODULES = ("indcubes.counting", "indcubes.cubes", "indcubes.graphs")
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    for name in indcubes.__all__:
+        value = getattr(indcubes, name)
+        assert value.__module__ in SUBMODULES, name
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(indcubes.__all__) <= set(dir(indcubes))
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        indcubes.no_such_name  # noqa: B018
+
+
+def test_package_import_loads_submodules_on_first_use():
+    """`import indcubes` loads no submodule; a public name loads its own
+    submodule (and what that one imports) when it is first read."""
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return ' '.join(sorted(m for m in sys.modules if m.startswith('indcubes.')))\n"
+        "import indcubes\n"
+        "print(loaded())\n"
+        "indcubes.power_path\n"
+        "print(loaded())\n"
+        "indcubes.path_count\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(indcubes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["", "indcubes.graphs", "indcubes.counting indcubes.graphs", ""]
 
 
 def test_readme_library_block_runs():

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import hashlib
 import json
 import os
@@ -635,10 +636,12 @@ class _WriteLog:
     [
         (("export", "--family", "fib-cube", "--n", "16", "--what", "graph", "--format", "dot"),
          "a7c2d2573aa31f1d5fa7d50a2947c05217de8ccd4fddddd1faf49f5a928a1a40", 577028),
+        (("export", "--family", "fib-cube", "--n", "16", "--what", "graph", "--format", "json"),
+         "f99b4c4735b71d9f829e923979b53e76763283e1a38d70b69b603e0a01ccdc20", 205538),
         (("seq", "--kind", "p", "--h", "1", "--count", "4000"),
          "22b13ca26610df9cdd432d9a017ae6300ad4b4bc180e3749ea71c37028b72400", 1678593),
     ],
-    ids=["export", "seq"],
+    ids=["export", "export-json", "seq"],
 )
 def test_output_is_written_in_pipe_sized_blocks(monkeypatch, argv, digest, size):
     log = _WriteLog()
@@ -647,6 +650,53 @@ def test_output_is_written_in_pipe_sized_blocks(monkeypatch, argv, digest, size)
     data = "".join(log.writes).encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
     assert len(log.writes) <= -(-size // 65_536) + 1
+
+
+class TestWriter:
+    """cli._write draws pieces in batches, yet writes what it is given, in
+    blocks of at least cli._BLOCK characters but the last."""
+
+    @staticmethod
+    def _writes(monkeypatch, pieces):
+        log = _WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        cli._write(iter(pieces))
+        return log.writes
+
+    @pytest.mark.parametrize("length", [1, 7, 100, 4096])
+    def test_equal_pieces_overshoot_a_block_by_less_than_one_piece(self, monkeypatch, length):
+        pieces = [str(i % 10) * length for i in range(3 * cli._BLOCK // length + 5)]
+        writes = self._writes(monkeypatch, pieces)
+        assert "".join(writes) == "".join(pieces)
+        assert all(cli._BLOCK <= len(w) < cli._BLOCK + length for w in writes[:-1])
+        assert 0 < len(writes[-1]) < cli._BLOCK + length
+
+    def test_a_piece_longer_than_a_block_is_written_alone(self, monkeypatch):
+        pieces = ["a" * (cli._BLOCK + 1), "b" * (2 * cli._BLOCK), "c" * (cli._BLOCK + 3)]
+        assert self._writes(monkeypatch, pieces) == pieces
+
+    def test_empty_pieces_do_not_end_the_output(self, monkeypatch):
+        # more empty pieces in a row than the largest batch
+        pieces = [""] * (3 * cli._BATCH) + ["x"] + [""] * cli._BATCH + ["y" * cli._BLOCK] * 2 + ["z"]
+        writes = self._writes(monkeypatch, pieces)
+        assert "".join(writes) == "x" + "y" * (2 * cli._BLOCK) + "z"
+        assert all(len(w) >= cli._BLOCK for w in writes[:-1])
+
+    def test_nothing_to_write_makes_no_write(self, monkeypatch):
+        assert self._writes(monkeypatch, []) == []
+        assert self._writes(monkeypatch, [""] * 5) == []
+
+
+#: Runs the CLI in a fresh process, stdout discarded, and prints its exit code
+#: and the indcubes modules and json it loaded, sorted, on stderr at exit.
+MODULES_SCRIPT = (
+    "import sys\n"
+    "from indcubes import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "loaded = sorted(m for m in sys.modules if m == 'json' or m.split('.')[0] == 'indcubes')\n"
+    "print(code, *loaded, file=sys.stderr)\n"
+)
 
 
 class TestColdStart:
@@ -670,6 +720,25 @@ class TestColdStart:
         loaded = set(done.stdout.split())
         assert "indcubes.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "indcubes.verify", "json"}
+        assert not loaded & {"indcubes.counting", "indcubes.cubes", "indcubes.graphs"}
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["table", "--family", "cycle", "--h", "2", "--n-max", "12", "--per-k"], "counting graphs"),
+            (["seq", "--kind", "hfib", "--h", "2", "--count", "20"], "counting graphs"),
+            (["export", "--family", "fib-cube", "--n", "5", "--what", "graph", "--format", "dot"], "cubes graphs"),
+            (["export", "--family", "path", "--n", "6", "--h", "2", "--what", "hasse", "--format", "json"],
+             "cubes graphs"),
+        ],
+        ids=["table", "seq", "export-dot", "export-json"],
+    )
+    def test_each_command_loads_only_its_own_modules(self, argv, modules):
+        # counting reads graphs' VertexSubset, so table and seq load graphs
+        done = self._run("-c", MODULES_SCRIPT, *argv)
+        code, *loaded = done.stderr.split()
+        assert code == "0", done.stderr
+        assert loaded == ["indcubes", "indcubes.cli", *(f"indcubes.{m}" for m in modules.split())]
 
     def test_verify_still_runs_from_a_fresh_process(self):
         done = self._run(
@@ -776,6 +845,30 @@ def _twin_cases():
                 ["--family", "gen-cube", "--n", str(n), "--patterns", patterns, "--circular"],
                 ["--family", "cycle", "--n", str(n), "--h", str(h)],
             )
+
+
+class TestExportCollector:
+    """export switches the cyclic collector off while it runs and leaves it
+    as it found it, also when the export fails."""
+
+    ARGV = ["export", "--family", "fib-cube", "--n", "4", "--what", "graph", "--format", "dot"]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, capsys, monkeypatch, enabled):
+        seen = []
+        real = cli._export_pieces
+        monkeypatch.setattr(cli, "_export_pieces", lambda args: seen.append(gc.isenabled()) or real(args))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(self.ARGV) == 0
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_collector_is_back_on_after_a_usage_error(self, capsys):
+        assert main(["export", "--family", "fib-cube", "--n", "21", "--what", "graph", "--format", "dot"]) == 2
+        assert gc.isenabled()
 
 
 class TestTwinExports:

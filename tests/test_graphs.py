@@ -13,6 +13,7 @@ from indcubes.graphs import (
     VertexSubset,
     _independent_masks,
     _mask_string,
+    _mask_strings,
     contains_pattern,
     enumerate_independent,
     is_independent,
@@ -414,3 +415,11 @@ class TestMaskString:
         full = (1 << n) - 1
         for bits in [0, 1, 1 << (n - 1), full] + [rng.getrandbits(n) for _ in range(2000)]:
             assert _mask_string(bits, n) == self.reference(bits, n), (bits, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 10, 64])
+    def test_batch_form_matches_one_by_one(self, n):
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(500)]
+        assert _mask_strings(masks, n) == [self.reference(bits, n) for bits in masks]
+        assert _mask_strings(iter(masks), n) == [_mask_string(bits, n) for bits in masks]
+        assert _mask_strings([], n) == []
