@@ -89,11 +89,6 @@ def _hamming_pairs(masks: Sequence[int]) -> list[list[int]]:
     return ups
 
 
-def _hamming_cube(masks: Sequence[int]) -> SimpleGraph:
-    """Graph on the given masks with edges at Hamming distance one."""
-    return _up_graph(_hamming_pairs(masks))
-
-
 def _fibonacci_masks(n: int) -> list[int]:
     """Masks of the length-n strings with no two consecutive ones, canonical order.
 
@@ -161,18 +156,18 @@ def avoiding_strings(n: int, patterns: Sequence[str], circular: bool = False) ->
 
 def fibonacci_cube(n: int) -> SimpleGraph:
     """Hamming-distance-1 graph on the Fibonacci strings of length n."""
-    return _hamming_cube(_fibonacci_masks(n))
+    return _up_graph(_hamming_pairs(_fibonacci_masks(n)))
 
 
 def lucas_cube(n: int) -> SimpleGraph:
     """Hamming-distance-1 graph on the circularly 11-avoiding strings."""
-    return _hamming_cube(_lucas_masks(n))
+    return _up_graph(_hamming_pairs(_lucas_masks(n)))
 
 
 def generalized_cube(n: int, patterns: Sequence[str], circular: bool = False) -> SimpleGraph:
     """Hamming-distance-1 graph on the strings avoiding every pattern,
     linearly or circularly."""
-    return _hamming_cube(_avoiding_masks(n, patterns, circular))
+    return _up_graph(_hamming_pairs(_avoiding_masks(n, patterns, circular)))
 
 
 def power_patterns(h: int) -> list[str]:

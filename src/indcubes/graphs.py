@@ -163,14 +163,14 @@ class SimpleGraph(Record):
         the fields are set directly rather than walking every edge again in
         the validating __init__.
         """
+        if n < 0:
+            raise _negative(n=n)
         rows = [0] * n
         for i, j in edges:
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
             rows[i - 1] |= 1 << (j - 1)
             rows[j - 1] |= 1 << (i - 1)
-        if n < 0:
-            raise _negative(n=n)
         g = object.__new__(cls)
         _set_field(g, "n", n)
         _set_field(g, "adj", tuple(rows))
@@ -185,22 +185,9 @@ def _negative(**values: int) -> ValueError:
     return ValueError(f"{names} must be nonnegative (got {got})")
 
 
-def _check_power_args(n: int, h: int) -> None:
-    if n < 0 or h < 0:
-        raise _negative(n=n, h=h)
-    if n > MAX_VERTICES:
-        raise CapacityError(f"n={n} exceeds the {MAX_VERTICES}-vertex capacity")
-
-
 def power_path(n: int, h: int) -> SimpleGraph:
     """Path power: v_i ~ v_j iff 0 < |j - i| <= h."""
-    _check_power_args(n, h)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(max(0, i - h), min(n, i + h + 1)):
-            if j != i:
-                rows[i] |= 1 << j
-    return SimpleGraph(n, rows)
+    return _power(n, h, cyclic=False)
 
 
 def power_cycle(n: int, h: int) -> SimpleGraph:
@@ -209,13 +196,23 @@ def power_cycle(n: int, h: int) -> SimpleGraph:
     Both conditions holding for a pair still yields a single edge; n = 1 has
     no edges and n = 2 with h >= 1 has exactly one.
     """
-    _check_power_args(n, h)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if j != i and (abs(j - i) <= h or abs(j - i) >= n - h):
-                rows[i] |= 1 << j
-    return SimpleGraph(n, rows)
+    return _power(n, h, cyclic=True)
+
+
+def _power(n: int, h: int, cyclic: bool) -> SimpleGraph:
+    """Row i is the window of 2h + 1 ones centred on bit i, minus bit i, cut
+    to n bits. The cycle centres it on bit i + n of three copies and folds
+    them together, so the wrap and the complete case n <= 2h + 1 need no branch."""
+    if n < 0 or h < 0:
+        raise _negative(n=n, h=h)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"n={n} exceeds the {MAX_VERTICES}-vertex capacity")
+    window = (1 << (2 * h + 1)) - 1
+    if cyclic:
+        rows = [w | w >> n | w >> 2 * n for w in (window << (i + n) >> h for i in range(n))]
+    else:
+        rows = [window << i >> h for i in range(n)]
+    return SimpleGraph(n, [row & ~(1 << i) & (1 << n) - 1 for i, row in enumerate(rows)])
 
 
 def is_independent(g: SimpleGraph, s: VertexSubset) -> bool:

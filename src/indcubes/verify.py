@@ -361,22 +361,29 @@ def check_pattern_cubes(h_max: int, n_max: int) -> str | None:
 
 
 def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
-    """Avoiding 11 linearly gives the Fibonacci cube; avoiding it circularly
-    gives the Lucas cube for n >= 2."""
+    """Avoiding 11 linearly (circularly) gives the Fibonacci (Lucas, n >= 2)
+    strings, and generalized_cube joins them as the covers of the order-1
+    path (cycle) diagram do: a route sharing no code with the cube builders."""
     if h_max < 1:
         return None
     halves = (
-        ("linear", False, "Fibonacci", cubes._fibonacci_masks, cubes.fibonacci_cube),
-        ("circular", True, "Lucas", cubes._lucas_masks, cubes.lucas_cube),
+        ("linear", False, "Fibonacci", cubes._fibonacci_masks, graphs.power_path),
+        ("circular", True, "Lucas", cubes._lucas_masks, graphs.power_cycle),
     )
     for n in range(n_max + 1):
-        for mode, circular, name, masks, cube in halves:
+        for mode, circular, name, strings, power in halves:
             if circular and n < 2:
                 continue
-            if cubes._avoiding_masks(n, ["11"], circular) != masks(n):
+            masks = cubes._avoiding_masks(n, ["11"], circular)
+            if masks != strings(n):
                 return f"n={n}: {mode} 11-avoiders differ from {name} strings"
-            # equal mask lists, so graph equality is labelled-graph equality
-            if cubes.generalized_cube(n, ["11"], circular) != cube(n):
+            diagram, ups = cubes._hasse_masks(power(n, 1))
+            rows = [0] * len(ups)
+            for i, js in enumerate(ups):
+                for j in js:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            if diagram != masks or cubes.generalized_cube(n, ["11"], circular).adj != tuple(rows):
                 return f"n={n}: {mode} 11-cube differs from the {name} cube"
     return None
 

@@ -39,6 +39,27 @@ def reference_masks(g):
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
+def reference_path_rows(n, h):
+    """Path-power rows straight from the definition: v_i ~ v_j iff 0 < |j - i| <= h."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(max(0, i - h), min(n, i + h + 1)):
+            if j != i:
+                rows[i] |= 1 << j
+    return rows
+
+
+def reference_cycle_rows(n, h):
+    """Cycle-power rows by testing every pair: v_i ~ v_j iff i != j and
+    |j - i| <= h or |j - i| >= n - h."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if j != i and (abs(j - i) <= h or abs(j - i) >= n - h):
+                rows[i] |= 1 << j
+    return rows
+
+
 def random_graphs(count, n_max, seed):
     """Seeded random graphs on 0..n_max vertices, edge density 0 to 1."""
     rng = random.Random(seed)
@@ -195,6 +216,13 @@ class TestPowerGraphs:
         assert power_path(n, h).edge_count() == brute_edge_count(n, h, cyclic=False)
         assert power_cycle(n, h).edge_count() == brute_edge_count(n, h, cyclic=True)
 
+    @pytest.mark.parametrize("n", range(65))
+    def test_rows_match_the_pairwise_definition(self, n):
+        # the orders include every n <= 2h + 1 case and n in {0, 1, 2}
+        for h in sorted({0, 1, 2, 3, n // 2, max(n - 1, 0), n, n + 1, 100}):
+            assert power_path(n, h).adj == tuple(reference_path_rows(n, h)), (n, h)
+            assert power_cycle(n, h).adj == tuple(reference_cycle_rows(n, h)), (n, h)
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, (0b10,) * 1)  # wrong row count
@@ -231,9 +259,11 @@ class TestFromEdges:
         assert set(g.edges()) == {(min(e), max(e)) for e in edges}
 
     @pytest.mark.parametrize("n", [-1, -5])
-    def test_negative_order_is_rejected(self, n):
+    @pytest.mark.parametrize("edges", [[], [(1, 2)]])
+    def test_negative_order_is_rejected(self, n, edges):
+        # n is checked before any edge is read
         with pytest.raises(ValueError, match=rf"^n must be nonnegative \(got n={n}\)$"):
-            SimpleGraph.from_edges(n, [])
+            SimpleGraph.from_edges(n, edges)
 
     @pytest.mark.parametrize(
         "edge, message",

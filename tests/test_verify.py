@@ -697,7 +697,7 @@ def test_hasse_grading_counterexample_text(monkeypatch, tamper, counterexample):
 
 def test_diagram_builder_stays_checked_by_default_verify(monkeypatch):
     # `export --what hasse` reads _hasse_masks; dropping one cover of one
-    # graph must fail the grading check and the Lucas-cube comparison
+    # graph must fail the grading check and both Lucas-cube comparisons
     real = cubes._hasse_masks
     cycle = graphs.power_cycle(5, 1)
 
@@ -710,6 +710,7 @@ def test_diagram_builder_stays_checked_by_default_verify(monkeypatch):
     assert failed == {
         "hasse-cover-grading": "n=5 h=1 cyclic=True: covers 14 != weighted levels 15",
         "lucas-cube-structure": "n=5: cube differs from the cycle-power diagram",
+        "single-pattern-cube-identity": "n=5: circular 11-cube differs from the Lucas cube",
     }
 
 
@@ -863,6 +864,15 @@ def _drop_last(result):
             "n=3: linear 11-cube differs from the Fibonacci cube",
         ),
         (
+            # every cube builder ends in _up_graph, so a fault there shows
+            # only against a route that does not: the diagram covers
+            "check_single_pattern_cubes",
+            "_up_graph",
+            lambda ups: len(ups) == 8,  # the F_6 strings of length 4
+            lambda g: graphs.SimpleGraph.from_edges(g.n, list(g.edges())[:-1]),
+            "n=4: linear 11-cube differs from the Fibonacci cube",
+        ),
+        (
             "check_cube_edges_comparable",
             "_hamming_pairs",
             lambda masks: len(masks) == 5,  # the F_5 strings of length 3
@@ -877,6 +887,7 @@ def _drop_last(result):
         "lucas-strings",
         "circular-avoiders",
         "edgeless-cube",
+        "up-graph-fault",
         "incomparable-edge",
     ],
 )
