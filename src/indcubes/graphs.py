@@ -200,18 +200,18 @@ def power_cycle(n: int, h: int) -> SimpleGraph:
 
 
 def _power(n: int, h: int, cyclic: bool) -> SimpleGraph:
-    """Row i is the window of 2h + 1 ones centred on bit i, minus bit i, cut
-    to n bits. The cycle centres it on bit i + n of three copies and folds
-    them together, so the wrap and the complete case n <= 2h + 1 need no branch."""
+    """Row i is the window of 2h + 1 ones centred on bit i + n of three copies
+    of the n bits, minus bit i, cut to n bits: the path keeps the middle copy and
+    the cycle ORs all three, so the wrap and n <= 2h + 1 need no branch. h is
+    capped at n, where both powers are complete, so no row passes 3n bits."""
     if n < 0 or h < 0:
         raise _negative(n=n, h=h)
     if n > MAX_VERTICES:
         raise CapacityError(f"n={n} exceeds the {MAX_VERTICES}-vertex capacity")
+    h = min(h, n)
     window = (1 << (2 * h + 1)) - 1
-    if cyclic:
-        rows = [w | w >> n | w >> 2 * n for w in (window << (i + n) >> h for i in range(n))]
-    else:
-        rows = [window << i >> h for i in range(n)]
+    rows = [window << (i + n - h) for i in range(n)]
+    rows = [row | row >> n | row >> 2 * n if cyclic else row >> n for row in rows]
     return SimpleGraph(n, [row & ~(1 << i) & (1 << n) - 1 for i, row in enumerate(rows)])
 
 

@@ -377,13 +377,13 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
             masks = cubes._avoiding_masks(n, ["11"], circular)
             if masks != strings(n):
                 return f"n={n}: {mode} 11-avoiders differ from {name} strings"
-            diagram, ups = cubes._hasse_masks(power(n, 1))
+            ups = cubes._hasse_masks(power(n, 1))[1]
             rows = [0] * len(ups)
             for i, js in enumerate(ups):
                 for j in js:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-            if diagram != masks or cubes.generalized_cube(n, ["11"], circular).adj != tuple(rows):
+            if cubes.generalized_cube(n, ["11"], circular).adj != tuple(rows):
                 return f"n={n}: {mode} 11-cube differs from the {name} cube"
     return None
 

@@ -364,6 +364,19 @@ class TestExport:
         assert code == 0
         assert len(json.loads(out)["edges"]) == 10  # K_5
 
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_huge_h_prints_the_complete_graph(self, capsys, family):
+        outputs = []
+        for h in ("64", "1000000000", str(2**70)):
+            code, out, _ = run_cli(
+                capsys, "export", "--family", family, "--n", "64", "--h", h,
+                "--what", "graph", "--format", "json",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[2] == outputs[0]
+        assert len(json.loads(outputs[0])["edges"]) == 64 * 63 // 2
+
     def test_fib_cube_dot(self, capsys):
         code, out, _ = run_cli(
             capsys, "export", "--family", "fib-cube", "--n", "2",

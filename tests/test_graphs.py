@@ -223,6 +223,14 @@ class TestPowerGraphs:
             assert power_path(n, h).adj == tuple(reference_path_rows(n, h)), (n, h)
             assert power_cycle(n, h).adj == tuple(reference_cycle_rows(n, h)), (n, h)
 
+    @pytest.mark.parametrize("h", [10**12, 10**18, 2**62, 2**70])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+    def test_huge_h_gives_the_complete_graph(self, n, h):
+        # far too wide for a window of 2h + 1 bits; both powers are complete
+        complete = tuple(((1 << n) - 1) & ~(1 << i) for i in range(n))
+        assert power_path(n, h).adj == complete
+        assert power_cycle(n, h).adj == complete
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, (0b10,) * 1)  # wrong row count
