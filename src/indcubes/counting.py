@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .graphs import VertexSubset, _negative
 
@@ -49,10 +49,11 @@ def _max_size(n: int, h: int) -> int:
 
 def _path_column(n: int, h: int) -> Iterator[int]:
     """p_k(n, h) = C(n - hk + h, k) for k = 0.._max_size(n, h), by mapping
-    `_comb` over the two argument ranges; every argument pair is in range."""
-    top = _max_size(n, h)
-    tops = range(n + h, n - h * top, -h) if h else itertools.repeat(n)
-    return map(_comb, tops, range(top + 1))
+    `_comb` over the tops n + h, n, n - h, ... (all n when h = 0) and the
+    sizes, which end the map; every argument pair is in range."""
+    if n < 0 or h < 0:
+        raise _negative(n=n, h=h)
+    return map(_comb, itertools.count(n + h, -h), range(_max_size(n, h) + 1))
 
 
 def _indivisible(n: int, h: int, k: int, numerator: int) -> ArithmeticError:
@@ -66,34 +67,22 @@ def _indivisible(n: int, h: int, k: int, numerator: int) -> ArithmeticError:
 def _cycle_column(n: int, h: int) -> Iterator[int]:
     """c_k(n, h) for k = 0..n // (h + 1), as `cycle_count_k` gives them: 1,
     n, then n * C(n - hk - 1, k - 1) / k, divided by `divmod` over the whole
-    column and checked for a remainder at once. Beyond n // (h + 1) every
-    c_k is 0."""
-    top = n // (h + 1)
-    tops = range(n - 2 * h - 1, n - h * top - h - 1, -h) if h else itertools.repeat(n - 1)
-    numerators = map(operator.mul, itertools.repeat(n), map(_comb, tops, range(1, top)))
-    ks = range(2, top + 1)
-    pairs = list(map(divmod, numerators, ks))
+    column and checked for a remainder at once. The range of sizes ends the
+    column: beyond n // (h + 1) every c_k is 0."""
+    if n < 0 or h < 0:
+        raise _negative(n=n, h=h)
+    tops = itertools.count(n - 2 * h - 1, -h)
+    numerators = map(operator.mul, itertools.repeat(n), map(_comb, tops, range(1, n // (h + 1))))
+    pairs = list(map(divmod, numerators, itertools.count(2)))
     if any(map(operator.itemgetter(1), pairs)):
-        k, (q, r) = next((k, qr) for k, qr in zip(ks, pairs) if qr[1])
+        k, (q, r) = next((k, qr) for k, qr in enumerate(pairs, 2) if qr[1])
         raise _indivisible(n, h, k, q * k + r)
     return itertools.chain((1, n), map(operator.itemgetter(0), pairs))
 
 
-def _weighted_sum(
-    column: Callable[[int, int], Iterator[int]], n: int, h: int, weighted: bool
-) -> int:
-    """Sum of the per-size counts column(n, h), k = 0, 1, ...: the total, or
-    the cover edges if each term is weighted by k, since each k-subset covers
-    exactly k subsets one element smaller. Both sums run in C over `map`."""
-    if n < 0 or h < 0:
-        raise _negative(n=n, h=h)
-    counts = column(n, h)
-    return sum(map(operator.mul, itertools.count(), counts)) if weighted else sum(counts)
-
-
 def path_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-path."""
-    return _weighted_sum(_path_column, n, h, False)
+    return sum(_path_column(n, h))
 
 
 def path_count_clamped(n: int, h: int) -> int:
@@ -118,7 +107,7 @@ def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
     memory follows the rows asked for, not h.
     """
     last = h + 1 if family == "path" else 2 * h + 1
-    yield from zip(range(1, last + 2), range(last + 1))
+    yield from zip(itertools.count(1), range(last + 1))
     ring = [(n + 1, n) for n in range(last - h, last + 1)]
     for i in itertools.cycle(range(h + 1)):
         (total, edges), (t, e) = ring[i - 1], ring[i]
@@ -221,7 +210,7 @@ def path_count_k_containing(n: int, h: int, k: int, i: int) -> int:
 def path_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the path-power independence poset: each k-subset
     covers exactly k subsets one element smaller, so sum k times the counts."""
-    return _weighted_sum(_path_column, n, h, True)
+    return sum(map(operator.mul, itertools.count(), _path_column(n, h)))
 
 
 def _hfib_terms(h: int) -> Iterator[int]:
@@ -280,13 +269,13 @@ def cycle_count_k(n: int, h: int, k: int) -> int:
 
 def cycle_count(n: int, h: int) -> int:
     """Total number of independent subsets of the h-power of an n-cycle."""
-    return _weighted_sum(_cycle_column, n, h, False)
+    return sum(_cycle_column(n, h))
 
 
 def cycle_hasse_edges(n: int, h: int) -> int:
     """Cover-edge count of the cycle-power independence poset, as the
     k-weighted sum of the per-size counts."""
-    return _weighted_sum(_cycle_column, n, h, True)
+    return sum(map(operator.mul, itertools.count(), _cycle_column(n, h)))
 
 
 def _cycle_edges_closed(h: int) -> Iterator[int]:

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from itertools import combinations, islice
 
 import pytest
@@ -143,6 +144,20 @@ class TestIndexBijection:
             ),
             (lambda: counting.path_count_k(3, -1, 2), "n, h, k must be nonnegative (got n=3, h=-1, k=2)"),
             (lambda: counting.cycle_count(-4, 1), "n, h must be nonnegative (got n=-4, h=1)"),
+            *(  # each column checks its own arguments; unchecked, path_count(-1, 1) is 1
+                pytest.param(
+                    partial(count, n, h),
+                    f"n, h must be nonnegative (got n={n}, h={h})",
+                    id=f"{count.__name__}({n}, {h})",
+                )
+                for count in (
+                    counting.path_count,
+                    counting.path_hasse_edges,
+                    counting.cycle_count,
+                    counting.cycle_hasse_edges,
+                )
+                for n, h in ((-1, 1), (3, -1))
+            ),
             (lambda: counting.hfib(2, -1), "h, length must be nonnegative (got h=2, length=-1)"),
             (lambda: counting.convolve_self([1, 1], -1), "n must be nonnegative (got n=-1)"),
             (lambda: counting.convolve_self([1, 1], 3), "need 3 terms, have 2"),
