@@ -124,18 +124,18 @@ def _avoiding_masks(n: int, patterns: Sequence[str], circular: bool = False) -> 
         raise ValueError("pattern list must be nonempty")
     for p in patterns:
         _check_pattern(p)
-    # (length, window mask, pattern as a mask with b_1 at bit 0)
-    kept = [(len(p), (1 << len(p)) - 1, int(p[::-1], 2)) for p in patterns if len(p) <= n]
-    wrap = max((size - 1 for size, _, _ in kept), default=0) if circular else 0
+    # (length, pattern as a mask with b_1 at bit 0): a length-k prefix has no bit above k - 1
+    kept = [(len(p), int(p[::-1], 2)) for p in patterns if len(p) <= n]
+    wrap = max(size for size, _ in kept) - 1 if circular and kept else 0
     masks = [0]
     for k in range(1, n + wrap + 1):  # grow every surviving prefix to length k
         if k <= n:  # the 1-extended half last, so each length stays ascending
             masks += [m | 1 << (k - 1) for m in masks]
         else:  # a wrap step: bit k - 1 copies bit k - 1 - n from the start
             masks = [m | (m >> (k - 1 - n) & 1) << (k - 1) for m in masks]
-        for size, window, p in kept:
+        for size, p in kept:
             if size <= k:  # drop every prefix that now ends with the pattern
-                masks = [m for m in masks if (m >> (k - size)) & window != p]
+                masks = [m for m in masks if m >> (k - size) != p]
     return sorted([m & ((1 << n) - 1) for m in masks], key=int.bit_count)
 
 

@@ -68,10 +68,10 @@ class VertexSubset(Record):
     def __init__(self, bits: int, n: int) -> None:
         if not 0 <= n <= MAX_VERTICES:
             raise CapacityError(f"subset width {n} outside 0..{MAX_VERTICES}")
-        if bits >> n:  # nonzero for a negative mask too
-            raise ValueError(
-                f"mask {bits} is negative" if bits < 0 else f"mask {bits:#x} has bits beyond position {n}"
-            )
+        if bits < 0:
+            raise ValueError(f"mask {bits} is negative")
+        if bits >> n:
+            raise ValueError(f"mask {bits:#x} has bits beyond position {n}")
         _set_field(self, "bits", bits)
         _set_field(self, "n", n)
 
@@ -121,10 +121,10 @@ class SimpleGraph(Record):
         if len(adj) != n:
             raise ValueError(f"adjacency length {len(adj)} does not match vertex count {n}")
         for i, row in enumerate(adj):
-            if row >> n:  # nonzero for a negative row too
-                raise ValueError(
-                    f"row {i} is negative: {row}" if row < 0 else f"row {i} has bits beyond position {n}"
-                )
+            if row < 0:
+                raise ValueError(f"row {i} is negative: {row}")
+            if row >> n:
+                raise ValueError(f"row {i} has bits beyond position {n}")
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at v_{i + 1}")
             m = row
@@ -284,14 +284,14 @@ def _mask_strings(masks: Iterable[int], n: int) -> list[str]:
 def contains_pattern(s: VertexSubset, pattern: str, circular: bool = False) -> bool:
     """Whether the binary string of s contains the pattern as a substring.
 
-    Linear mode scans b_1..b_n as-is. Circular mode scans the string followed
-    by its first len(pattern) - 1 bits, so an occurrence may wrap around the
-    end once; patterns longer than the string cannot occur.
+    Linear mode scans b_1..b_n as-is. Circular mode scans the string written
+    twice: its substrings of length at most n are exactly the windows that may
+    wrap around the end once, and patterns longer than the string cannot occur.
     """
     _check_pattern(pattern)
     text = s.to_string()
     if circular and len(pattern) <= s.n:
-        text += text[: len(pattern) - 1]
+        text += text
     return pattern in text
 
 

@@ -434,6 +434,20 @@ class TestContainsPattern:
         )
         assert contains_pattern(s, pattern, circular=True) == expected
 
+    def test_every_string_to_length_7_against_its_rotations(self):
+        # 86,870 (string, pattern) pairs, each pattern up to one longer than the string
+        for n in range(8):
+            for m in range(1 << n):
+                s = VertexSubset(m, n)
+                text = s.to_string()
+                rotations = [text[i:] + text[:i] for i in range(n)]
+                for size in range(1, n + 2):
+                    for bits in range(1 << size):
+                        pattern = format(bits, f"0{size}b")
+                        assert contains_pattern(s, pattern) == (pattern in text)
+                        expected = size <= n and any(r.startswith(pattern) for r in rotations)
+                        assert contains_pattern(s, pattern, circular=True) == expected, (text, pattern)
+
 
 class TestMaskString:
     """_mask_string against format(), read backwards so that b_1 comes first."""

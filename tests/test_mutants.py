@@ -44,3 +44,70 @@ def test_mutants_are_named_by_function_kind_and_ordinal():
 def test_each_mutant_changes_one_node():
     for name, text in mutants.mutants(SNIPPET):
         assert _changed_nodes(SNIPPET, text) == 1, name
+
+
+#: A hand-made verify pass: each killed mutant with the checks it fails
+#: (none named after a crash or a time-out).
+FAILED = {
+    "m.f:int#1": frozenset({"a"}),
+    "m.f:add#1": frozenset({"a"}),
+    "m.g:int#1": frozenset({"a", "b"}),
+    "m.g:lt#1": frozenset({"b"}),
+    "m.h:int#1": frozenset({"c"}),
+    "m.h:sub#1": frozenset(),
+    "m.C.k:eq#1": frozenset({"b"}),
+}
+CHECKS = ["a", "b", "c", "d"]
+
+
+def test_kill_matrix_counts_kills_and_sole_kills_per_check():
+    kills, sole, _ = mutants.kill_matrix(FAILED, CHECKS)
+    assert kills == {
+        "a": ["m.f:int#1", "m.f:add#1", "m.g:int#1"],
+        "b": ["m.g:int#1", "m.g:lt#1", "m.C.k:eq#1"],
+        "c": ["m.h:int#1"],
+        "d": [],
+    }
+    assert sole == {
+        "a": ["m.f:int#1", "m.f:add#1"],
+        "b": ["m.g:lt#1", "m.C.k:eq#1"],
+        "c": ["m.h:int#1"],
+        "d": [],
+    }
+
+
+def test_kill_matrix_names_functions_with_a_single_guard():
+    # g's mutants fail {a, b} and {b}: two guards between them. h has a crash,
+    # which no check names, so c is not its only guard.
+    _, _, single = mutants.kill_matrix(FAILED, CHECKS)
+    assert single == {"m.f": ("a", 2), "m.C.k": ("b", 1)}
+
+
+def test_failing_checks_reads_the_json_report():
+    report = '{"overall": false, "checks": [{"name": "a", "ok": true}, {"name": "b", "ok": false}]}'
+    assert mutants.failing_checks(0, report) is None
+    assert mutants.failing_checks(1, report) == {"b"}
+    assert mutants.failing_checks(1, "Traceback (most recent call last):") == frozenset()
+    assert mutants.failing_checks(None, "") == frozenset()
+
+
+def test_report_exits_1_on_an_unexplained_survivor(capsys):
+    rows = [("m", 9, 7, 0, 2)]
+    explained = list(mutants.EQUIVALENT)
+    assert mutants.report(rows, explained, CHECKS, FAILED) == 0
+    assert mutants.report(rows, [], CHECKS, FAILED) == 0
+    assert mutants.report(rows, [*explained, "m.f:ne#1"], CHECKS, FAILED) == 1
+    out = capsys.readouterr().out
+    assert "- `m.f:ne#1`: unexplained\n" in out
+    assert "| `m` | 9 | 7 | 0 | 2 |\n" in out
+    assert "| `a` | 3 | 2 |\n" in out
+    assert "- `m.f`: `a` (2 mutants)\n" in out
+    assert "1 verify-killed mutants crashed or timed out" in out
+
+
+def test_equivalent_names_are_mutants_of_the_current_source():
+    names = set()
+    for module in mutants.MODULES:
+        source = (mutants.ROOT / "src" / "indcubes" / f"{module}.py").read_text()
+        names.update(f"{module}.{name}" for name, _ in mutants.mutants(source))
+    assert set(mutants.EQUIVALENT) <= names

@@ -8,17 +8,26 @@ Run from anywhere, with no options:
 Each mutant changes one site of one function: an integer constant plus 1,
 `+` <-> `-`, `*` <-> `//`, `<` <-> `<=`, `>` <-> `>=` or `==` <-> `!=`. It
 is written into a temporary copy of the repository (never into `src/`). A
-mutant is killed when `verify --h-max 3 --n-max-formula 60 --n-max-oracle 9`
-exits nonzero or runs past 60 s; the survivors then run tier-1 with `-x`.
-Mutants are named `module.function:kind#ordinal`, the ordinal counting the
-sites of that kind within the function in source order, so a name survives
-edits elsewhere. The table is Markdown, for a CI step summary as well as a
-terminal; a run took about 20 minutes on a 2-vCPU host.
+mutant is killed when `verify --h-max 3 --n-max-formula 60 --n-max-oracle 9
+--json` exits nonzero or runs past 60 s; the survivors then run tier-1 with
+`-x`. Mutants are named `module.function:kind#ordinal`, the ordinal counting
+the sites of that kind within the function in source order, so a name
+survives edits elsewhere.
+
+The output is Markdown, for a CI step summary as well as a terminal: the
+score per module and each survivor of both passes, then the kill matrix read
+from the JSON reports. Per check, it counts the mutants the check kills and
+names those it alone kills (a crash or a time-out kills with no check named);
+then it names each function whose verify-killed mutants all fail one and the
+same single check. The exit status is 1 when a survivor is not in
+`EQUIVALENT`, else 0. A run took about 20 minutes on a 2-vCPU host, nearly
+all of it in the tier-1 pass.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import shutil
 import signal
@@ -26,11 +35,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("counting", "cubes", "graphs")
-VERIFY = ("-m", "indcubes", "verify", *"--h-max 3 --n-max-formula 60 --n-max-oracle 9".split())
+VERIFY = ("-m", "indcubes", "verify", *"--h-max 3 --n-max-formula 60 --n-max-oracle 9 --json".split())
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 VERIFY_TIMEOUT_S = 60
 TIER1_TIMEOUT_S = 900  # a survivor that loops in tier-1 counts as killed
@@ -54,14 +63,7 @@ KIND = {op: kind for kind, (op, _, _) in SWAPS.items()}
 #: Survivors of both passes that no test can kill, each with the reason.
 EQUIVALENT = {
     "cubes._fibonacci_masks:int#1": "the k = 1 step sets bit 0 of the seed [1] again: [0, 1]",
-    "cubes._avoiding_masks:int#1": "the window's extra bit lies above the prefix, always 0",
-    "cubes._avoiding_masks:sub#2": "two more wrap bits repeat windows tested one period earlier",
-    "cubes._avoiding_masks:int#6": "with no pattern kept, the one wrap bit is never tested",
-    "graphs.VertexSubset.__init__:lt#1": "the text is chosen only when bits >> n, never for 0",
-    "graphs.VertexSubset.__init__:int#2": "the text is chosen only when bits >> n, never for 0",
-    "graphs.SimpleGraph.__init__:lt#2": "the text is chosen only when row >> n, never for 0",
-    "graphs.SimpleGraph.__init__:int#2": "the text is chosen only when row >> n, never for 0",
-    "graphs.contains_pattern:sub#1": "each start in the longer wrap is, mod n, one already read",
+    "cubes._avoiding_masks:sub#1": "two more wrap bits repeat windows tested one period earlier",
 }
 
 
@@ -110,50 +112,66 @@ def mutants(source: str) -> Iterator[tuple[str, str]]:
             yield f"{qualname}:{kind}#{seen[kind]}", mutated.decode()
 
 
-def _killed(copy: Path, args: tuple[str, ...], timeout: float) -> bool:
-    """Whether `python args`, run in the copy, exits nonzero or runs past
-    `timeout` seconds; on time-out its whole process group is killed, so no
-    forked verify worker outlives it."""
+def _run(copy: Path, args: tuple[str, ...], timeout: float) -> tuple[int | None, str]:
+    """The exit status and stdout of `python args`, run in the copy. Past
+    `timeout` seconds the status is None, and the whole process group is
+    killed, so no forked verify worker outlives it."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    quiet = subprocess.DEVNULL
     with subprocess.Popen(
-        (sys.executable, *args), cwd=copy, env=env, stdin=quiet, stdout=quiet, stderr=quiet,
-        start_new_session=True,
+        (sys.executable, *args), cwd=copy, env=env, stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
     ) as proc:
         try:
-            return proc.wait(timeout) != 0
+            out = proc.communicate(timeout=timeout)[0]
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            return True
+            return None, ""
+        return proc.returncode, out
 
 
-def main() -> int:
-    ignore = shutil.ignore_patterns(".git", "__pycache__", ".*_cache", ".hypothesis", ".benchmarks")
-    rows, left = [], []
-    with tempfile.TemporaryDirectory(prefix="indcubes-mutants-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=ignore)
-        if _killed(copy, VERIFY, VERIFY_TIMEOUT_S) or _killed(copy, TIER1, TIER1_TIMEOUT_S):
-            print("the unmutated copy fails verify or tier-1; no score", file=sys.stderr)
-            return 1
-        for module in MODULES:
-            path = copy / "src" / "indcubes" / f"{module}.py"
-            original = path.read_text()
-            named = [(f"{module}.{name}", text) for name, text in mutants(original)]
-            survivors = []
-            for name, text in named:
-                path.write_text(text)
-                if not _killed(copy, VERIFY, VERIFY_TIMEOUT_S):
-                    survivors.append((name, text))
-            remaining = []
-            for name, text in survivors:
-                path.write_text(text)
-                if not _killed(copy, TIER1, TIER1_TIMEOUT_S):
-                    remaining.append(name)
-            path.write_text(original)
-            total, alive = len(named), len(survivors)
-            rows.append((module, total, total - alive, alive - len(remaining), len(remaining)))
-            left += remaining
+def failing_checks(status: int | None, out: str) -> frozenset[str] | None:
+    """None when verify exited 0; else the checks its JSON report fails, or
+    none after a crash or a time-out, which leave no report to read."""
+    if status == 0:
+        return None
+    try:
+        return frozenset(check["name"] for check in json.loads(out)["checks"] if not check["ok"])
+    except ValueError:  # verify prints its report whole or not at all
+        return frozenset()
+
+
+def kill_matrix(
+    failed: Mapping[str, frozenset[str]], checks: Sequence[str]
+) -> tuple[dict[str, list[str]], dict[str, list[str]], dict[str, tuple[str, int]]]:
+    """From the checks each verify-killed mutant fails: per check, the mutants
+    it kills and those it alone kills; and each `module.function` whose
+    verify-killed mutants all fail one and the same single check, with that
+    check and the number of those mutants."""
+    kills: dict[str, list[str]] = {check: [] for check in checks}
+    sole: dict[str, list[str]] = {check: [] for check in checks}
+    by_function: dict[str, list[frozenset[str]]] = {}
+    for name, names in failed.items():
+        for check in names:
+            kills[check].append(name)
+        if len(names) == 1:
+            sole[next(iter(names))].append(name)
+        by_function.setdefault(name.partition(":")[0], []).append(names)
+    single = {}
+    for function, sets in by_function.items():
+        guards = frozenset().union(*sets)
+        if len(guards) == 1 and all(sets):
+            single[function] = (next(iter(guards)), len(sets))
+    return kills, sole, single
+
+
+def report(
+    rows: Sequence[tuple[str, int, int, int, int]],
+    left: Sequence[str],
+    checks: Sequence[str],
+    failed: Mapping[str, frozenset[str]],
+) -> int:
+    """Print the score table, the survivors and the kill matrix, and return
+    the exit status: 1 when a survivor is not in EQUIVALENT, else 0."""
     print("| module | mutants | killed by `verify` | then by tier-1 | left |")
     print("|---|---|---|---|---|")
     for row in rows:
@@ -162,7 +180,56 @@ def main() -> int:
     for name in left:
         reason = EQUIVALENT.get(name)
         print(f"- `{name}`: " + (f"equivalent: {reason}" if reason else "unexplained"))
-    return 0
+    kills, sole, single = kill_matrix(failed, checks)
+    print()
+    print("| check | kills | kills alone |")
+    print("|---|---|---|")
+    for check in checks:
+        print(f"| `{check}` | {len(kills[check])} | {len(sole[check])} |")
+    unnamed = sum(not names for names in failed.values())
+    print(f"\n{unnamed} verify-killed mutants crashed or timed out, with no check named.\n")
+    for check in checks:
+        if sole[check]:
+            print(f"- `{check}` alone kills " + ", ".join(f"`{name}`" for name in sole[check]))
+    print("\nFunctions whose verify-killed mutants all fail one and the same single check:\n")
+    for function, (check, count) in single.items():
+        print(f"- `{function}`: `{check}` ({count} mutants)")
+    return 1 if any(name not in EQUIVALENT for name in left) else 0
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".*_cache", ".hypothesis", ".benchmarks")
+    rows, left, failed = [], [], {}
+    with tempfile.TemporaryDirectory(prefix="indcubes-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        status, out = _run(copy, VERIFY, VERIFY_TIMEOUT_S)
+        if status != 0 or _run(copy, TIER1, TIER1_TIMEOUT_S)[0] != 0:
+            print("the unmutated copy fails verify or tier-1; no score", file=sys.stderr)
+            return 1
+        checks = [check["name"] for check in json.loads(out)["checks"]]
+        for module in MODULES:
+            path = copy / "src" / "indcubes" / f"{module}.py"
+            original = path.read_text()
+            named = [(f"{module}.{name}", text) for name, text in mutants(original)]
+            survivors = []
+            for name, text in named:
+                path.write_text(text)
+                names = failing_checks(*_run(copy, VERIFY, VERIFY_TIMEOUT_S))
+                if names is None:
+                    survivors.append((name, text))
+                else:
+                    failed[name] = names
+            remaining = []
+            for name, text in survivors:
+                path.write_text(text)
+                if _run(copy, TIER1, TIER1_TIMEOUT_S)[0] == 0:
+                    remaining.append(name)
+            path.write_text(original)
+            total, alive = len(named), len(survivors)
+            rows.append((module, total, total - alive, alive - len(remaining), len(remaining)))
+            left += remaining
+    return report(rows, left, checks, failed)
 
 
 if __name__ == "__main__":
