@@ -90,9 +90,12 @@ def path_count_clamped(n: int, h: int) -> int:
     return path_count(max(n, 0), h)
 
 
-def _nth(terms: Iterator[Any], index: int) -> Any:
-    """Term `index` (0-based) of an endless iterator."""
-    return next(itertools.islice(terms, index, None))
+def _nth(terms: Iterator[Any], n: int, h: int) -> Any:
+    """Term n (0-based) of an endless, lazy stream of order h, once the
+    single-term views' one check passes: nothing of the stream runs first."""
+    if n < 0 or h < 0:
+        raise _negative(n=n, h=h)
+    return next(itertools.islice(terms, n, None))
 
 
 def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
@@ -118,17 +121,13 @@ def _rows(family: str, h: int) -> Iterator[tuple[int, int]]:
 def path_count_rec(n: int, h: int) -> int:
     """Total path-power count by recurrence only: the total of `_rows` at n,
     a single-term view that walks the rows from 0 at O(n) cost per call."""
-    if n < 0 or h < 0:
-        raise _negative(n=n, h=h)
-    return _nth(_rows("path", h), n)[0]
+    return _nth(_rows("path", h), n, h)[0]
 
 
 def cycle_count_rec(n: int, h: int) -> int:
     """Total cycle-power count by recurrence only: the total of `_rows` at n,
     a single-term view that walks the rows from 0 at O(n) cost per call."""
-    if n < 0 or h < 0:
-        raise _negative(n=n, h=h)
-    return _nth(_rows("cycle", h), n)[0]
+    return _nth(_rows("cycle", h), n, h)[0]
 
 
 def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
@@ -294,13 +293,13 @@ def cycle_hasse_edges_closed(n: int, h: int) -> int:
     """Closed form for the cycle cover-edge count: n times the order-h
     sequence term at n - h, term n of `_cycle_edges_closed`. A single-term
     view that walks the stream from 0 at O(n) cost per call."""
-    if n < 0 or h < 0:
-        raise _negative(n=n, h=h)
-    return _nth(_cycle_edges_closed(h), n)
+    return _nth(_cycle_edges_closed(h), n, h)
 
 
-def _two_term(a: int, b: int, n: int) -> int:
-    """Term n (1-based) of the sequence t_1 = a, t_2 = b, t_i = t_(i-1) + t_(i-2)."""
+def _two_term(a: int, b: int, n: int, name: str) -> int:
+    """Term n >= 1 of the sequence `name`: t_1 = a, t_2 = b, t_i = t_(i-1) + t_(i-2)."""
+    if n < 1:
+        raise ValueError(f"{name} index starts at 1")
     for _ in range(n - 1):
         a, b = b, a + b
     return a
@@ -308,13 +307,9 @@ def _two_term(a: int, b: int, n: int) -> int:
 
 def fibonacci(n: int) -> int:
     """Classic Fibonacci number, 1-based with F_1 = F_2 = 1."""
-    if n < 1:
-        raise ValueError("Fibonacci index starts at 1")
-    return _two_term(1, 1, n)
+    return _two_term(1, 1, n, "Fibonacci")
 
 
 def lucas(n: int) -> int:
     """Lucas number, 1-based with L_1 = 1, L_2 = 3."""
-    if n < 1:
-        raise ValueError("Lucas index starts at 1")
-    return _two_term(1, 3, n)
+    return _two_term(1, 3, n, "Lucas")

@@ -120,6 +120,8 @@ def _avoiding_masks(n: int, patterns: Sequence[str], circular: bool = False) -> 
     are trimmed at the end.
     """
     _check_cube_order(n)
+    if isinstance(patterns, str):
+        raise ValueError(f"patterns must be a list of strings, not the string {patterns!r}")
     if not patterns:
         raise ValueError("pattern list must be nonempty")
     for p in patterns:

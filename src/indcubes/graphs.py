@@ -158,10 +158,8 @@ class SimpleGraph(Record):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         """Build from 1-based endpoint pairs; duplicates collapse.
 
-        Each edge is range- and loop-checked here and sets both of its bits,
-        so the rows are in range, loop-free and symmetric by construction;
-        the fields are set directly rather than walking every edge again in
-        the validating __init__.
+        Each edge is range- and loop-checked here, with its own message, and
+        sets both of its bits; the rows then go to the validating __init__.
         """
         if n < 0:
             raise _negative(n=n)
@@ -171,10 +169,7 @@ class SimpleGraph(Record):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
             rows[i - 1] |= 1 << (j - 1)
             rows[j - 1] |= 1 << (i - 1)
-        g = object.__new__(cls)
-        _set_field(g, "n", n)
-        _set_field(g, "adj", tuple(rows))
-        return g
+        return cls(n, rows)
 
 
 def _negative(**values: int) -> ValueError:

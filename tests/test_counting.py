@@ -158,6 +158,21 @@ class TestIndexBijection:
                 )
                 for n, h in ((-1, 1), (3, -1))
             ),
+            *(  # the single-term views share one check, made before any term is built
+                pytest.param(
+                    partial(view, n, h),
+                    f"n, h must be nonnegative (got n={n}, h={h})",
+                    id=f"{view.__name__}({n}, {h})",
+                )
+                for view in (
+                    counting.path_count_rec,
+                    counting.cycle_count_rec,
+                    counting.cycle_hasse_edges_closed,
+                )
+                for n, h in ((-1, 1), (3, -1))
+            ),
+            (lambda: counting.fibonacci(0), "Fibonacci index starts at 1"),
+            (lambda: counting.lucas(0), "Lucas index starts at 1"),
             (lambda: counting.hfib(2, -1), "h, length must be nonnegative (got h=2, length=-1)"),
             (lambda: counting.convolve_self([1, 1], -1), "n must be nonnegative (got n=-1)"),
             (lambda: counting.convolve_self([1, 1], 3), "need 3 terms, have 2"),

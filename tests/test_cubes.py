@@ -237,6 +237,18 @@ class TestGeneralizedCube:
             with pytest.raises(ValueError, match=r"^not a binary pattern: '1x1'$"):
                 avoiding_strings(n, ["1", "1x1"], circular=True)
 
+    @pytest.mark.parametrize("build", [avoiding_strings, generalized_cube])
+    @pytest.mark.parametrize("pattern", ["11", "101"])
+    def test_rejects_a_bare_string(self, build, pattern):
+        # a string is a sequence of one-letter strings; it must not be read as one
+        message = rf"^patterns must be a list of strings, not the string '{pattern}'$"
+        with pytest.raises(ValueError, match=message):
+            build(5, pattern)
+
+    def test_a_tuple_of_patterns_is_a_pattern_set(self):
+        assert len(avoiding_strings(5, ("11",))) == 13
+        assert generalized_cube(4, ("101",)).n == 12
+
     def test_power_patterns(self):
         assert power_patterns(1) == ["11"]
         assert power_patterns(2) == ["11", "101"]

@@ -251,8 +251,9 @@ def edge_lists(draw):
 
 
 class TestFromEdges:
-    """from_edges sets its fields without the validating constructor, so its
-    graphs must be the ones that constructor accepts."""
+    """from_edges checks each pair, then builds through the validating
+    constructor: its graphs are the ones that constructor builds from the
+    same rows."""
 
     @given(edge_lists())
     def test_equals_the_validated_graph(self, case):

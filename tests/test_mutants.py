@@ -1,9 +1,15 @@
-"""The mutation tool, loaded by path from tools/: its mutant names, and that
-each mutant changes exactly one AST node."""
+"""The mutation tool, loaded by path from tools/: its mutant names, that
+each mutant changes exactly one AST node, its kill matrix and report, and its
+tier-1 pass over several copies."""
 
 import ast
 import importlib.util
+import os
+import threading
+import time
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "mutants", Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
@@ -111,3 +117,57 @@ def test_equivalent_names_are_mutants_of_the_current_source():
         source = (mutants.ROOT / "src" / "indcubes" / f"{module}.py").read_text()
         names.update(f"{module}.{name}" for name, _ in mutants.mutants(source))
     assert set(mutants.EQUIVALENT) <= names
+
+
+def _copies(root, count):
+    """`count` stand-in checkouts, each holding every module's original text."""
+    copies = []
+    for i in range(count):
+        package = root / f"copy{i}" / "src" / "indcubes"
+        package.mkdir(parents=True)
+        for module in mutants.MODULES:
+            (package / f"{module}.py").write_text(f"# {module}\n")
+        copies.append(package.parent.parent)
+    return copies
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tier1_pass_gives_each_verdict_in_order_and_one_mutant_per_copy(
+    monkeypatch, tmp_path, workers
+):
+    busy, lock = set(), threading.Lock()
+
+    def stub(copy, args, timeout):
+        assert args == mutants.TIER1
+        with lock:
+            assert copy not in busy, "two jobs share a copy"
+            busy.add(copy)
+        texts = [(copy / "src" / "indcubes" / f"{m}.py").read_text() for m in mutants.MODULES]
+        changed = [text for m, text in zip(mutants.MODULES, texts) if text != f"# {m}\n"]
+        time.sleep(0.005)  # long enough for the other worker to start a job
+        with lock:
+            busy.discard(copy)
+        assert len(changed) == 1, changed
+        return (0 if "lives" in changed[0] else 1), ""
+
+    monkeypatch.setattr(mutants, "_run", stub)
+    jobs = [
+        (m, f"# {m} mutant {i}: {'dies' if i % 3 else 'lives'}\n")
+        for i, m in enumerate(mutants.MODULES * 4)
+    ]
+    copies = _copies(tmp_path, workers)
+    assert mutants.tier1_pass(copies, jobs) == [i % 3 == 0 for i in range(len(jobs))]
+    assert mutants.tier1_pass(copies, []) == []
+    for copy in copies:
+        for m in mutants.MODULES:
+            assert (copy / "src" / "indcubes" / f"{m}.py").read_text() == f"# {m}\n"
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert mutants.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mutants.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mutants.usable_cpus() == 1

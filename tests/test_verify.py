@@ -1,3 +1,4 @@
+import ast
 import io
 import itertools
 import math
@@ -6,6 +7,7 @@ import signal
 import threading
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -732,6 +734,20 @@ def test_checks_are_public_module_functions():
         assert fn.__module__ == verify.__name__, name
         assert not fn.__name__.startswith("_"), name
         assert getattr(verify, fn.__name__) is fn, name
+
+
+def test_report_names_are_the_benchmarks():
+    # perfbench's verify-default output check rejects a report whose lines
+    # differ from its VERIFY_CHECKS, so adding, renaming or reordering a check
+    # must change that tuple too. The module is read, not imported: its frozen
+    # dataclass needs the module registered in sys.modules.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    (value,) = (
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["VERIFY_CHECKS"]
+    )
+    assert ast.literal_eval(value) == tuple(name for name, _, _ in verify.CHECKS)
 
 
 @pytest.mark.parametrize(
