@@ -172,7 +172,7 @@ def _export_object(args: argparse.Namespace) -> tuple[list[str], list[list[int]]
         h = 1 if args.h is None else args.h
         g = graphs.power_path(n, h) if family == "path" else graphs.power_cycle(n, h)
         if args.what == "graph":
-            ups = [[j for j in range(i + 1, n) if row >> j & 1] for i, row in enumerate(g.adj)]
+            ups = [[j for j in graphs._set_bits(row) if j > i] for i, row in enumerate(g.adj)]
             return [str(i) for i in range(1, n + 1)], ups
         masks, ups = cubes._hasse_masks(g)
     else:

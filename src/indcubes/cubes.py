@@ -98,10 +98,10 @@ def _fibonacci_masks(n: int) -> list[int]:
     ascending by value, and one stable sort by cardinality makes it canonical.
     """
     _check_cube_order(n)
-    shorter, masks = [0], [0]  # at k = 1 the shorter [0] stands for "" before "1"
-    for k in range(1, n + 1):
-        shorter, masks = masks, masks + [m | 1 << (k - 1) for m in shorter]
-    return sorted(masks, key=int.bit_count)
+    masks, longer = [0], [0, 1]  # lengths 0 and 1
+    for k in range(1, n):  # lengths (k - 1, k) -> (k, k + 1)
+        masks, longer = longer, longer + [m | 1 << k for m in masks]
+    return sorted(longer if n else masks, key=int.bit_count)
 
 
 def _lucas_masks(n: int) -> list[int]:

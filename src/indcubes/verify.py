@@ -374,7 +374,7 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
         for mode, circular, name, strings, power in halves:
             if circular and n < 2:
                 continue
-            masks = cubes._avoiding_masks(n, ["11"], circular)
+            masks = cubes._avoiding_masks(n, cubes.power_patterns(1), circular)
             if masks != strings(n):
                 return f"n={n}: {mode} 11-avoiders differ from {name} strings"
             ups = cubes._hasse_masks(power(n, 1))[1]
@@ -383,7 +383,7 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
                 for j in js:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-            if cubes.generalized_cube(n, ["11"], circular).adj != tuple(rows):
+            if cubes.generalized_cube(n, cubes.power_patterns(1), circular).adj != tuple(rows):
                 return f"n={n}: {mode} 11-cube differs from the {name} cube"
     return None
 
@@ -395,12 +395,11 @@ def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
         return None
     for n in range(n_max + 1):
         masks = cubes._fibonacci_masks(n)
-        for a, js in zip(masks, cubes._hamming_pairs(masks)):
-            for j in js:
-                b = masks[j]
-                if (a | b) not in (a, b):
-                    a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
-                    return f"n={n}: edge joins incomparable strings {a}, {b}"
+        for i, j in cubes.fibonacci_cube(n).edges():
+            a, b = masks[i - 1], masks[j - 1]
+            if (a | b) not in (a, b):
+                a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
+                return f"n={n}: edge joins incomparable strings {a}, {b}"
     return None
 
 

@@ -716,6 +716,33 @@ def test_diagram_builder_stays_checked_by_default_verify(monkeypatch):
     }
 
 
+def test_order_1_pattern_set_is_checked(monkeypatch):
+    # pattern-cube-identity sweeps h >= 2 only, so the order-1 set is read
+    # by the single-pattern check; one pattern too many there must fail it
+    real = cubes.power_patterns
+    monkeypatch.setattr(cubes, "power_patterns", lambda h: real(h) + (["101"] if h == 1 else []))
+    failed = {c.name: c.counterexample for c in verify.run_all(1, 20, 8).checks if not c.ok}
+    assert failed == {
+        "single-pattern-cube-identity": "n=3: linear 11-avoiders differ from Fibonacci strings",
+    }
+
+
+def test_up_graph_fault_fails_two_checks(monkeypatch):
+    # one edge too many in the n = 3 Fibonacci cube, between 100 and 010
+    real = cubes._up_graph
+
+    def tampered(ups):
+        g = real(ups)
+        return graphs.SimpleGraph.from_edges(g.n, [*g.edges(), (2, 3)]) if len(ups) == 5 else g
+
+    monkeypatch.setattr(cubes, "_up_graph", tampered)
+    failed = {c.name: c.counterexample for c in verify.run_all(1, 20, 8).checks if not c.ok}
+    assert failed == {
+        "single-pattern-cube-identity": "n=3: linear 11-cube differs from the Fibonacci cube",
+        "cube-edges-comparable": "n=3: edge joins incomparable strings 100, 010",
+    }
+
+
 def test_pattern_cube_counterexample_text(monkeypatch):
     real = cubes._avoiding_masks
     def tampered(n, patterns, circular=False):

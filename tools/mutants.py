@@ -66,7 +66,6 @@ KIND = {op: kind for kind, (op, _, _) in SWAPS.items()}
 
 #: Survivors of both passes that no test can kill, each with the reason.
 EQUIVALENT = {
-    "cubes._fibonacci_masks:int#1": "the k = 1 step sets bit 0 of the seed [1] again: [0, 1]",
     "cubes._avoiding_masks:sub#1": "two more wrap bits repeat windows tested one period earlier",
 }
 
