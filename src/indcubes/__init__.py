@@ -80,3 +80,11 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _negative(**values: int) -> ValueError:
+    """The error for arguments that must be nonnegative, naming each value;
+    callers compare inline and build it only on failure (hot paths)."""
+    names = ", ".join(values)
+    got = ", ".join(f"{name}={value}" for name, value in values.items())
+    return ValueError(f"{names} must be nonnegative (got {got})")

@@ -7,9 +7,12 @@ before all output was written (`| head`), as a shell reports a SIGPIPE death.
 Output for fixed arguments is byte-identical across runs.
 
 Every call is a fresh process, so each command imports only the modules it
-runs: `counting` for `table` and `seq`, `cubes` and `graphs` for `export`,
-`verify` (which imports all three) for `verify`, and `json` for
-`verify --json` alone.
+runs: `counting` alone for `table` and `seq`, `cubes` and `graphs` for
+`export`, `verify` (which imports all three) for `verify`, and `json` for
+`verify --json` alone. The process entry points call `entry`, which freezes
+the heap once `main` returns, so the interpreter's final collection visits
+nothing; `main` itself does not, as in-process callers would never collect
+what it froze.
 
 `verify` runs its checks across the CPUs the process may use, in forked
 workers, and prints the report of a run on one CPU. Each check a lost worker
@@ -314,6 +317,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """`main` for a process of its own (`python -m indcubes`, `python -m
+    indcubes.cli`, the `indcubes` script), with the heap frozen as it ends."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -347,4 +359,4 @@ def _run(argv: Sequence[str] | None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

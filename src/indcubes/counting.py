@@ -12,9 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .graphs import VertexSubset, _negative
+from . import _negative
+
+if TYPE_CHECKING:  # `table` and `seq` do not load graphs; indices_to_subset reads it when called
+    from .graphs import VertexSubset
 
 
 _comb = math.comb  # the one binomial primitive: `binom` and the sums read it
@@ -139,6 +142,7 @@ def indices_to_subset(n: int, h: int, indices: Sequence[int]) -> VertexSubset:
     """
     if n < 0 or h < 0:
         raise _negative(n=n, h=h)
+    from .graphs import VertexSubset
     return VertexSubset(_indices_to_mask(n, h, indices), n)
 
 

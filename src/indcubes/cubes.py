@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import CapacityError, SimpleGraph, VertexSubset, _check_pattern, _independent_masks, _negative
+from . import _negative
+from .graphs import CapacityError, SimpleGraph, VertexSubset, _check_pattern, _independent_masks
 
 #: Node counts grow like the total independent-subset count, so diagram and
 #: cube construction is capped well below the 64-bit mask limit.

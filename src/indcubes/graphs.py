@@ -7,6 +7,8 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+from . import _negative
+
 #: Hard cap for bitmask-backed graphs; the enumerator is only meant for desk
 #: scale, so one adjacency row per vertex never needs more than 64 bits.
 MAX_VERTICES = 64
@@ -170,14 +172,6 @@ def _set_bits(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
-
-
-def _negative(**values: int) -> ValueError:
-    """The error for arguments that must be nonnegative, naming each value;
-    callers compare inline and build it only on failure (hot paths)."""
-    names = ", ".join(values)
-    got = ", ".join(f"{name}={value}" for name, value in values.items())
-    return ValueError(f"{names} must be nonnegative (got {got})")
 
 
 def power_path(n: int, h: int) -> SimpleGraph:

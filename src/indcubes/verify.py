@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator
 
-from . import counting, cubes, graphs
+from . import _negative, counting, cubes, graphs
 from .graphs import Record, _set_field
 
 
@@ -389,17 +389,21 @@ def check_single_pattern_cubes(h_max: int, n_max: int) -> str | None:
 
 
 def check_cube_edges_comparable(h_max: int, n_max: int) -> str | None:
-    """Every Fibonacci-cube edge joins bitwise-comparable strings, so the
-    Hamming-1 adjacency coincides with the diagram covers."""
+    """Every Fibonacci-cube edge joins bitwise-comparable strings, and the
+    edges number the covers, sum |S| (a string less any one 1 is a string),
+    so the Hamming-1 adjacency coincides with the diagram covers."""
     if h_max < 1:
         return None
     for n in range(n_max + 1):
         masks = cubes._fibonacci_masks(n)
-        for i, j in cubes.fibonacci_cube(n).edges():
+        edges = list(cubes.fibonacci_cube(n).edges())
+        for i, j in edges:
             a, b = masks[i - 1], masks[j - 1]
             if (a | b) not in (a, b):
                 a, b = graphs._mask_string(a, n), graphs._mask_string(b, n)
                 return f"n={n}: edge joins incomparable strings {a}, {b}"
+        if len(edges) != (covers := sum(map(int.bit_count, masks))):
+            return f"n={n}: {len(edges)} edges walked != {covers} covers"
     return None
 
 
@@ -602,7 +606,7 @@ def run_all(h_max: int = 4, n_max_formula: int = 200, n_max_oracle: int = 14) ->
     order, however many CPUs run the checks (see _counterexamples).
     """
     if min(h_max, n_max_formula, n_max_oracle) < 0:
-        raise graphs._negative(h_max=h_max, n_max_formula=n_max_formula, n_max_oracle=n_max_oracle)
+        raise _negative(h_max=h_max, n_max_formula=n_max_formula, n_max_oracle=n_max_oracle)
     if n_max_oracle > cubes.MAX_CUBE_ORDER:
         raise graphs.CapacityError(
             f"n_max_oracle={n_max_oracle} exceeds the cube cap of {cubes.MAX_CUBE_ORDER}"

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -738,8 +739,8 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "argv, modules",
         [
-            (["table", "--family", "cycle", "--h", "2", "--n-max", "12", "--per-k"], "counting graphs"),
-            (["seq", "--kind", "hfib", "--h", "2", "--count", "20"], "counting graphs"),
+            (["table", "--family", "cycle", "--h", "2", "--n-max", "12", "--per-k"], "counting"),
+            (["seq", "--kind", "hfib", "--h", "2", "--count", "20"], "counting"),
             (["export", "--family", "fib-cube", "--n", "5", "--what", "graph", "--format", "dot"], "cubes graphs"),
             (["export", "--family", "path", "--n", "6", "--h", "2", "--what", "hasse", "--format", "json"],
              "cubes graphs"),
@@ -747,7 +748,6 @@ class TestColdStart:
         ids=["table", "seq", "export-dot", "export-json"],
     )
     def test_each_command_loads_only_its_own_modules(self, argv, modules):
-        # counting reads graphs' VertexSubset, so table and seq load graphs
         done = self._run("-c", MODULES_SCRIPT, *argv)
         code, *loaded = done.stderr.split()
         assert code == "0", done.stderr
@@ -882,6 +882,112 @@ class TestExportCollector:
     def test_collector_is_back_on_after_a_usage_error(self, capsys):
         assert main(["export", "--family", "fib-cube", "--n", "21", "--what", "graph", "--format", "dot"]) == 2
         assert gc.isenabled()
+
+
+def _script_target():
+    """(module, function) of the `indcubes` entry of [project.scripts]."""
+    text = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    return re.search(r'^indcubes = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+def _entry_points():
+    """The argv prefix of each way to start the CLI as a process; the script
+    runs its target as the wrapper pip installs for it does."""
+    module, function = _script_target()
+    return {
+        "python -m indcubes": ["-m", "indcubes"],
+        "python -m indcubes.cli": ["-m", "indcubes.cli"],
+        "indcubes script": ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"],
+    }
+
+
+class TestEntryPoints:
+    """Every way to start the CLI as a process prints the same bytes, exits
+    with the same code, and freezes the heap at exit; `main` run in-process
+    freezes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, code, least",
+        [
+            (["table", "--family", "cycle", "--h", "2", "--n-max", "12", "--per-k"], 0, 1),
+            # written in more than one block
+            (["export", "--family", "fib-cube", "--n", "14", "--what", "graph", "--format", "dot"], 0,
+             cli._BLOCK + 1),
+            (["export", "--family", "fib-cube", "--n", "3", "--what", "hasse", "--format", "dot"], 2, 0),
+            (["export", "--family", "fib-cube", "--n", "21", "--what", "graph", "--format", "dot"], 2, 0),
+        ],
+        ids=["table", "export-dot", "parser-error", "capacity-error"],
+    )
+    def test_entry_points_agree(self, argv, code, least):
+        runs = {
+            name: subprocess.run(
+                [sys.executable, *prefix, *argv], env=_child_env(), capture_output=True, timeout=120
+            )
+            for name, prefix in _entry_points().items()
+        }
+        outcomes = {(done.returncode, done.stdout, done.stderr) for done in runs.values()}
+        assert len(outcomes) == 1, runs
+        got, out, err = outcomes.pop()
+        assert (got, len(out) >= least, bool(out), bool(err)) == (code, True, not code, bool(code))
+
+    def test_closed_stdout_exits_141_from_every_entry_point(self):
+        argv = ["export", "--family", "fib-cube", "--n", "16", "--what", "graph", "--format", "dot"]
+        outcomes = set()
+        for prefix in _entry_points().values():
+            proc = subprocess.Popen(
+                [sys.executable, *prefix, *argv],
+                env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+            outcomes.add((proc.wait(timeout=120), head, stderr))
+        assert outcomes == {(141, b"graph G {\n", b"")}
+
+    @pytest.mark.parametrize("name", list(_entry_points()))
+    @pytest.mark.parametrize("argv", [["seq", "--kind", "p", "--h", "1", "--count", "5"], ["bogus"]])
+    def test_each_entry_point_freezes_the_heap_at_exit(self, name, argv):
+        # an exit hook runs before the final collection; `-m` is replayed by runpy
+        prefix = _entry_points()[name]
+        start = (
+            f"runpy.run_module({prefix[1]!r}, run_name='__main__', alter_sys=True)"
+            if prefix[0] == "-m" else prefix[1]
+        )
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            f"{start}\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120
+        )
+        *_, word, count = done.stderr.split()
+        assert word == "frozen" and int(count) > 0, done.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--family", "path", "--h", "1", "--n-max", "9"],
+            ["export", "--family", "fib-cube", "--n", "4", "--what", "graph", "--format", "json"],
+            ["seq", "--kind", "p", "--h", "-1", "--count", "4"],
+        ],
+        ids=["table", "export", "usage-error"],
+    )
+    def test_main_in_process_freezes_nothing(self, capsys, argv, enabled):
+        assert gc.get_freeze_count() == 0
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestTwinExports:
